@@ -88,7 +88,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
                 frames.append(ack)
                 used += size
                 space.ack_needed = False
-                conn.protoops.run(conn, "ack_frame_built", None, epoch, path_index)
+                conn.ops.ack_frame_built(conn, epoch, path_index)
 
     # 2. CRYPTO data (handshake) — also exempt from congestion control in
     # this model (Initial packets carry the handshake forward).
@@ -187,7 +187,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
 
     # 5. Stream data fills what remains of the core budget.
     while core_budget > STREAM_FRAME_OVERHEAD:
-        stream_id = conn.protoops.run(conn, "stream_to_send", None)
+        stream_id = conn.ops.stream_to_send(conn)
         if stream_id is None:
             break
         stream = conn.streams_send[stream_id]

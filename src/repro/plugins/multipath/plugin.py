@@ -172,7 +172,7 @@ def _host_helpers(runtime) -> dict:
         if not 0 <= frame.path_id < len(conn.paths):
             return 0
         ctx = {"epoch": Epoch.ONE_RTT, "path_index": frame.path_id}
-        conn._process_ack_frame(conn, frame.ack, ctx)
+        conn._process_ack_frame(frame.ack, ctx)
         return 1
 
     def h_write(vm, frame_handle, buf_handle, *_):

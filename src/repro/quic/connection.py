@@ -3,9 +3,10 @@ operations.
 
 Every step a plugin might want to observe or replace — frame parsing and
 processing, RTT updates, loss detection, packet preparation, path
-selection, the Spin Bit — is dispatched through a per-connection
-:class:`~repro.core.protoop.ProtoopTable`, exactly as Figure 1b describes:
-the monolithic call graph becomes a web of named, anchored operations.
+selection, the Spin Bit — is called through a slot of the per-connection
+:class:`~repro.core.protoop.ProtoopTable` (``self.ops.<name>(self, ...)``),
+exactly as Figure 1b describes: the monolithic call graph becomes a web
+of named, anchored operations.
 
 The connection is sans-io: it consumes datagrams via
 :meth:`receive_datagram`, emits them via :meth:`datagrams_to_send`, and
@@ -15,12 +16,13 @@ reports its next timer via :meth:`next_timer`.  The endpoint adapter in
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.protoop import Anchor, ProtoopError, ProtoopTable
+from repro.core.protoop import ProtoopError, ProtoopTable
 
 from . import frames as F
 from .cc import DEFAULT_INITIAL_WINDOW, MAX_DATAGRAM_SIZE, NewRenoController
@@ -228,7 +230,9 @@ class QuicConnection:
         self.local_cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
         self.peer_cid = b""
         self._original_dcid = b""
-        self.protoops = ProtoopTable()
+        self.protoops = ProtoopTable(self._default_protoops())
+        #: The protoop slots protocol code calls: ``self.ops.<name>(self, ...)``.
+        self.ops = self.protoops.slots
         self.frame_registry = F.FrameRegistry()
         self.now = now
 
@@ -361,8 +365,6 @@ class QuicConnection:
             "undersized_initials_dropped": 0,
         }
 
-        self._register_protocol_operations()
-
         if self.is_client:
             self._start_client_handshake()
 
@@ -370,83 +372,51 @@ class QuicConnection:
     # Protocol operation registration (the gray box of §2.2).
     # ------------------------------------------------------------------
 
-    def _register_protocol_operations(self) -> None:
-        t = self.protoops
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def _default_protoops(cls) -> ProtoopTable:
+        """The default table of this class, built on first use: every
+        operation's flags, doc and built-in behaviour, shared by all its
+        connections (never changed after it is built).  Defaults
+        are plain functions called as ``default(conn, *args)``, i.e. the
+        class's own unbound methods."""
+        t = ProtoopTable()
         # -- Parameterized frame operations (the 4 parameterized protoops).
         for name in ("parse_frame", "process_frame", "write_frame", "notify_frame"):
             t.register(name, None, parameterized=True)
-        t.register("parse_frame", self._default_parse_frame, param="default",
+        t.register("parse_frame", cls._default_parse_frame, param="default",
                    parameterized=True)
-        t.register("write_frame", self._default_write_frame, param="default",
+        t.register("write_frame", cls._default_write_frame, param="default",
                    parameterized=True)
-        for ftype, handler in self._default_frame_processors().items():
+        for ftype, handler in cls._default_frame_processors().items():
             t.register("process_frame", handler, param=ftype, parameterized=True)
-        for ftype, handler in self._default_frame_notifiers().items():
+        for ftype, handler in cls._default_frame_notifiers().items():
             t.register("notify_frame", handler, param=ftype, parameterized=True)
 
-        # -- Internal processing.
-        t.register("update_rtt", self._op_update_rtt)
-        t.register("set_loss_alarm", self._op_set_loss_alarm)
-        t.register("on_loss_alarm", self._op_on_loss_alarm)
-        t.register("detect_lost_packets", self._op_detect_lost_packets)
-        t.register("on_packet_acked", self._op_on_packet_acked)
-        t.register("on_packet_lost", self._op_on_packet_lost)
-        t.register("congestion_on_ack", self._op_congestion_on_ack)
-        t.register("congestion_on_loss", self._op_congestion_on_loss)
-        t.register("retransmit_packet", self._op_retransmit_packet)
-        t.register("stream_to_send", self._op_stream_to_send)
-        t.register("schedule_frames", self._op_schedule_frames)
-        t.register("reserve_frame_slot", self._op_reserve_frame_slot)
-        t.register("get_max_data", self._op_get_max_data)
-        t.register("update_flow_credit", self._op_update_flow_credit)
-        t.register("should_send_max_data", self._op_should_send_max_data)
-        t.register("create_stream", self._op_create_stream)
-        t.register("get_send_stream", self._op_get_send_stream)
-        t.register("get_receive_stream", self._op_get_receive_stream)
-        t.register("stream_data_received", self._op_stream_data_received)
-        t.register("crypto_data_received", self._op_crypto_data_received)
-        t.register("process_handshake_message", self._op_process_handshake_message)
-        t.register("derive_one_rtt_keys", self._op_derive_one_rtt_keys)
-        t.register("set_idle_timer", self._op_set_idle_timer)
-        t.register("queue_control_frame", self._op_queue_control_frame)
-
-        # -- Packet management.
-        t.register("prepare_packet", self._op_prepare_packet)
-        t.register("finalize_and_protect_packet", self._op_finalize_and_protect)
-        t.register("parse_packet_header", self._op_parse_packet_header)
-        t.register("decode_packet_number", self._op_decode_packet_number)
-        t.register("process_incoming_packet", self._op_process_incoming_packet)
-        t.register("set_spin_bit", self._op_set_spin_bit)
-        t.register("get_destination_cid", self._op_get_destination_cid)
-        t.register("get_source_cid", self._op_get_source_cid)
-        t.register("select_sending_path", self._op_select_sending_path)
-        t.register("get_path", self._op_get_path)
-        t.register("create_path", self._op_create_path)
-        t.register("path_bytes_allowed", self._op_path_bytes_allowed)
-        t.register("map_incoming_path", self._op_map_incoming_path)
-        t.register("process_recovered_payload", self._op_process_recovered_payload)
-
-        # -- Introspection operations (used by monitoring & multipath).
-        t.register("get_rtt", lambda conn, i=0: self.paths[i].rtt.smoothed,
-                   doc="Smoothed RTT of a path.")
-        t.register("get_cwin", lambda conn, i=0: self.paths[i].cc.cwnd,
-                   doc="Congestion window of a path.")
-        t.register("get_bytes_in_flight",
-                   lambda conn, i=0: self.paths[i].cc.bytes_in_flight,
-                   doc="Bytes currently in flight on a path.")
-        t.register("stream_bytes_pending",
-                   lambda conn: sum(s.bytes_in_flight_or_pending
-                                    for s in self.streams_send.values()),
-                   doc="Application bytes waiting for (re)transmission.")
-        t.register("is_ack_needed",
-                   lambda conn, i=0: self.paths[i].space.ack_needed,
-                   doc="Whether the path's space owes the peer an ACK.")
-        t.register("get_largest_acked",
-                   lambda conn, i=0: self.paths[i].space.largest_acked,
-                   doc="Largest packet number acked by the peer on a path.")
-        t.register("get_next_packet_number",
-                   lambda conn, i=0: self.paths[i].space.next_packet_number,
-                   doc="Next packet number to be used on a path.")
+        for name in (
+            # -- Internal processing.
+            "update_rtt", "set_loss_alarm", "on_loss_alarm",
+            "detect_lost_packets", "on_packet_acked", "on_packet_lost",
+            "congestion_on_ack", "congestion_on_loss", "retransmit_packet",
+            "stream_to_send", "schedule_frames", "reserve_frame_slot",
+            "get_max_data", "update_flow_credit", "should_send_max_data",
+            "create_stream", "get_send_stream", "get_receive_stream",
+            "stream_data_received", "crypto_data_received",
+            "process_handshake_message", "derive_one_rtt_keys",
+            "set_idle_timer", "queue_control_frame",
+            # -- Packet management.
+            "prepare_packet", "finalize_and_protect_packet",
+            "parse_packet_header", "decode_packet_number",
+            "process_incoming_packet", "set_spin_bit", "get_destination_cid",
+            "get_source_cid", "select_sending_path", "get_path", "create_path",
+            "path_bytes_allowed", "map_incoming_path",
+            "process_recovered_payload",
+            # -- Introspection operations (used by monitoring & multipath).
+            "get_rtt", "get_cwin", "get_bytes_in_flight",
+            "stream_bytes_pending", "is_ack_needed", "get_largest_acked",
+            "get_next_packet_number",
+        ):
+            t.register(name, getattr(cls, "_op_" + name))
 
         # -- Connection-workflow events (empty anchors, §2.2 category 4).
         for event in (
@@ -479,6 +449,38 @@ class QuicConnection:
         # plugin_quarantined, plugin_exchange_retry, ...) are declared by
         # the modules that emit them (repro.core.containment/.exchange):
         # they are extensions, not part of the paper's 72-protoop census.
+        return t
+
+    # -- Introspection defaults.
+
+    def _op_get_rtt(self, i: int = 0) -> float:
+        """Smoothed RTT of a path."""
+        return self.paths[i].rtt.smoothed
+
+    def _op_get_cwin(self, i: int = 0) -> int:
+        """Congestion window of a path."""
+        return self.paths[i].cc.cwnd
+
+    def _op_get_bytes_in_flight(self, i: int = 0) -> int:
+        """Bytes currently in flight on a path."""
+        return self.paths[i].cc.bytes_in_flight
+
+    def _op_stream_bytes_pending(self) -> int:
+        """Application bytes waiting for (re)transmission."""
+        return sum(s.bytes_in_flight_or_pending
+                   for s in self.streams_send.values())
+
+    def _op_is_ack_needed(self, i: int = 0) -> bool:
+        """Whether the path's space owes the peer an ACK."""
+        return self.paths[i].space.ack_needed
+
+    def _op_get_largest_acked(self, i: int = 0) -> int:
+        """Largest packet number acked by the peer on a path."""
+        return self.paths[i].space.largest_acked
+
+    def _op_get_next_packet_number(self, i: int = 0) -> int:
+        """Next packet number to be used on a path."""
+        return self.paths[i].space.next_packet_number
 
     # ------------------------------------------------------------------
     # Handshake.
@@ -512,9 +514,9 @@ class QuicConnection:
         buf.push_varint_prefixed_bytes(self._handshake_params().serialize())
         self._crypto_send.write(buf.data())
         self._handshake_sent = True
-        self.protoops.run(self, "handshake_message_sent", None, msg_type)
+        self.ops.handshake_message_sent(self, msg_type)
 
-    def _op_process_handshake_message(self, conn, data: bytes) -> None:
+    def _op_process_handshake_message(self, data: bytes) -> None:
         """Process one handshake message arriving on the crypto stream."""
         buf = Buffer(data)
         msg_type = buf.pull_uint8()
@@ -527,16 +529,16 @@ class QuicConnection:
         for path in self.paths:
             path.rtt.max_ack_delay = params.max_ack_delay
         if msg_type == HANDSHAKE_CH and not self.is_client:
-            self.protoops.run(self, "derive_one_rtt_keys", None, peer_share)
+            self.ops.derive_one_rtt_keys(self, peer_share)
             self._queue_handshake_message(HANDSHAKE_SH)
             self._set_established()
         elif msg_type == HANDSHAKE_SH and self.is_client:
-            self.protoops.run(self, "derive_one_rtt_keys", None, peer_share)
+            self.ops.derive_one_rtt_keys(self, peer_share)
             self._set_established()
         else:
             raise ProtocolViolation(f"unexpected handshake message {msg_type}")
 
-    def _op_derive_one_rtt_keys(self, conn, peer_share: bytes) -> None:
+    def _op_derive_one_rtt_keys(self, peer_share: bytes) -> None:
         if self.is_client:
             secret = session_secret(self._key_share, peer_share)
         else:
@@ -555,7 +557,7 @@ class QuicConnection:
             # to when it migrates (§9.5).
             self.paths[0].amp_limited = False
             self._issue_new_cid()
-        self.protoops.run(self, "connection_established", None)
+        self.ops.connection_established(self)
         if self.on_established is not None:
             self.on_established()
 
@@ -580,7 +582,7 @@ class QuicConnection:
         return self.protoops.run_external(self, "create_stream", None)
 
     def send_stream_data(self, stream_id: int, data: bytes, fin: bool = False) -> None:
-        stream = self.protoops.run(self, "get_send_stream", None, stream_id)
+        stream = self.ops.get_send_stream(self, stream_id)
         stream.write(data)
         if fin:
             stream.finish()
@@ -593,7 +595,7 @@ class QuicConnection:
     def close(self, error_code: int = 0, reason: str = "") -> None:
         if self.state is not ConnectionState.ACTIVE:
             return
-        self.protoops.run(self, "connection_closing", None, error_code, reason)
+        self.ops.connection_closing(self, error_code, reason)
         self._close_frame_pending = F.ConnectionCloseFrame(
             error_code=error_code, reason=reason
         )
@@ -609,7 +611,7 @@ class QuicConnection:
         close, e.g. idle timeout) terminates immediately.
         """
         self.close_error = (error_code, reason)
-        self.protoops.run(self, "connection_closed", None)
+        self.ops.connection_closed(self)
         if self.on_close is not None:
             self.on_close(error_code, reason)
         if next_state is ConnectionState.CLOSED:
@@ -680,11 +682,11 @@ class QuicConnection:
     # Stream protoops.
     # ------------------------------------------------------------------
 
-    def _op_create_stream(self, conn) -> int:
+    def _op_create_stream(self) -> int:
         stream_id = self._next_stream_id
         self._next_stream_id += 4
         self._get_or_create_streams(stream_id)
-        self.protoops.run(self, "stream_opened", None, stream_id)
+        self.ops.stream_opened(self, stream_id)
         return stream_id
 
     def _remote_stream_limit(self) -> int:
@@ -703,19 +705,19 @@ class QuicConnection:
                 self.configuration.transport_parameters.initial_max_stream_data,
             )
 
-    def _op_get_send_stream(self, conn, stream_id: int) -> SendStream:
+    def _op_get_send_stream(self, stream_id: int) -> SendStream:
         self._get_or_create_streams(stream_id)
         return self.streams_send[stream_id]
 
-    def _op_get_receive_stream(self, conn, stream_id: int) -> ReceiveStream:
+    def _op_get_receive_stream(self, stream_id: int) -> ReceiveStream:
         self._get_or_create_streams(stream_id)
         return self.streams_recv[stream_id]
 
-    def _op_stream_data_received(self, conn, stream_id: int, readable: bytes, fin: bool) -> None:
+    def _op_stream_data_received(self, stream_id: int, readable: bytes, fin: bool) -> None:
         if self.on_stream_data is not None and (readable or fin):
             self.on_stream_data(stream_id, readable, fin)
 
-    def _op_crypto_data_received(self, conn, data: bytes) -> None:
+    def _op_crypto_data_received(self, data: bytes) -> None:
         """Drain complete handshake messages from the crypto stream."""
         stash = getattr(self, "_crypto_pending", b"") + data
         while True:
@@ -730,30 +732,28 @@ class QuicConnection:
                 break
             msg_len = buf.position
             message, stash = stash[:msg_len], stash[msg_len:]
-            self.protoops.run(self, "process_handshake_message", None, message)
+            self.ops.process_handshake_message(self, message)
         self._crypto_pending = stash
 
     # ------------------------------------------------------------------
     # Flow control protoops.
     # ------------------------------------------------------------------
 
-    def _op_get_max_data(self, conn) -> int:
+    def _op_get_max_data(self) -> int:
         return self.max_data_remote
 
-    def _op_should_send_max_data(self, conn) -> bool:
+    def _op_should_send_max_data(self) -> bool:
         window = self.configuration.transport_parameters.initial_max_data
         return self.data_received > self.max_data_local - window // 2
 
-    def _op_update_flow_credit(self, conn) -> None:
+    def _op_update_flow_credit(self) -> None:
         """Raise connection and stream receive windows as data is consumed."""
         window = self.configuration.transport_parameters.initial_max_data
-        if self.protoops.run(self, "should_send_max_data", None):
+        if self.ops.should_send_max_data(self):
             self.max_data_local = self.data_received + window
-            self.protoops.run(
-                self, "queue_control_frame", None,
-                F.MaxDataFrame(maximum=self.max_data_local),
-            )
-            self.protoops.run(self, "flow_control_raised", None, self.max_data_local)
+            self.ops.queue_control_frame(
+                self, F.MaxDataFrame(maximum=self.max_data_local))
+            self.ops.flow_control_raised(self, self.max_data_local)
         stream_window = self.configuration.transport_parameters.initial_max_stream_data
         for stream_id, stream in self.streams_recv.items():
             if stream.final_size is not None:
@@ -761,53 +761,55 @@ class QuicConnection:
             if stream.bytes_received > stream.max_stream_data - stream_window // 2:
                 new_limit = stream.grant_credit(stream_window)
                 if new_limit:
-                    self.protoops.run(
-                        self, "queue_control_frame", None,
-                        F.MaxStreamDataFrame(stream_id=stream_id, maximum=new_limit),
-                    )
+                    self.ops.queue_control_frame(self, F.MaxStreamDataFrame(
+                        stream_id=stream_id, maximum=new_limit))
 
-    def _op_queue_control_frame(self, conn, frame: F.Frame) -> None:
+    def _op_queue_control_frame(self, frame: F.Frame) -> None:
         self._control_frames.append(frame)
 
     # ------------------------------------------------------------------
     # Frame parsing / processing defaults.
     # ------------------------------------------------------------------
 
-    def _default_parse_frame(self, conn, buf: Buffer, frame_type: int) -> F.Frame:
+    def _default_parse_frame(self, buf: Buffer, frame_type: int) -> F.Frame:
         cls = self.frame_registry.lookup(frame_type)
         return cls.parse(buf, frame_type)
 
-    def _default_write_frame(self, conn, frame: F.Frame, buf: Buffer) -> None:
+    def _default_write_frame(self, frame: F.Frame, buf: Buffer) -> None:
         frame.serialize(buf)
 
-    def _default_frame_processors(self) -> dict:
+    @classmethod
+    def _default_frame_processors(cls) -> dict:
         return {
-            F.PADDING: lambda conn, frame, ctx: None,
-            F.PING: lambda conn, frame, ctx: None,
-            F.ACK: self._process_ack_frame,
-            F.CRYPTO: self._process_crypto_frame,
-            "stream": self._process_stream_frame,
-            F.MAX_DATA: self._process_max_data_frame,
-            F.MAX_STREAM_DATA: self._process_max_stream_data_frame,
-            F.MAX_STREAMS: lambda conn, frame, ctx: None,
-            F.DATA_BLOCKED: lambda conn, frame, ctx: None,
-            F.STREAM_DATA_BLOCKED: lambda conn, frame, ctx: None,
-            F.RESET_STREAM: self._process_reset_stream_frame,
-            F.STOP_SENDING: lambda conn, frame, ctx: None,
-            F.NEW_CONNECTION_ID: self._process_new_connection_id,
-            F.PATH_CHALLENGE: self._process_path_challenge,
-            F.PATH_RESPONSE: self._process_path_response,
-            F.CONNECTION_CLOSE: self._process_connection_close,
-            F.CONNECTION_CLOSE + 1: self._process_connection_close,
-            F.HANDSHAKE_DONE: lambda conn, frame, ctx: None,
+            F.PADDING: cls._ignore_frame,
+            F.PING: cls._ignore_frame,
+            F.ACK: cls._process_ack_frame,
+            F.CRYPTO: cls._process_crypto_frame,
+            "stream": cls._process_stream_frame,
+            F.MAX_DATA: cls._process_max_data_frame,
+            F.MAX_STREAM_DATA: cls._process_max_stream_data_frame,
+            F.MAX_STREAMS: cls._ignore_frame,
+            F.DATA_BLOCKED: cls._ignore_frame,
+            F.STREAM_DATA_BLOCKED: cls._ignore_frame,
+            F.RESET_STREAM: cls._process_reset_stream_frame,
+            F.STOP_SENDING: cls._ignore_frame,
+            F.NEW_CONNECTION_ID: cls._process_new_connection_id,
+            F.PATH_CHALLENGE: cls._process_path_challenge,
+            F.PATH_RESPONSE: cls._process_path_response,
+            F.CONNECTION_CLOSE: cls._process_connection_close,
+            F.CONNECTION_CLOSE + 1: cls._process_connection_close,
+            F.HANDSHAKE_DONE: cls._ignore_frame,
         }
+
+    def _ignore_frame(self, *args: Any) -> None:
+        """Default for frames that need no processing or notification."""
 
     def _frame_param(self, frame_type: int) -> Any:
         if F.STREAM_BASE <= frame_type < F.STREAM_BASE + 8:
             return "stream"
         return frame_type
 
-    def _process_ack_frame(self, conn, frame: F.AckFrame, ctx: dict) -> None:
+    def _process_ack_frame(self, frame: F.AckFrame, ctx: dict) -> None:
         epoch: Epoch = ctx["epoch"]
         path = self.paths[ctx["path_index"]]
         space = self.initial_space if epoch is Epoch.INITIAL else path.space
@@ -819,27 +821,26 @@ class QuicConnection:
         # check across execution modes.
         self.stats["packets_acked"] += len(result.newly_acked)
         if result.latest_rtt is not None:
-            self.protoops.run(
-                self, "update_rtt", None, path.index, result.latest_rtt, frame.ack_delay
-            )
+            self.ops.update_rtt(
+                self, path.index, result.latest_rtt, frame.ack_delay)
         for pkt in result.newly_acked:
-            self.protoops.run(self, "on_packet_acked", None, pkt, path.index)
+            self.ops.on_packet_acked(self, pkt, path.index)
         for pkt in result.spurious:
             self._run_spurious_loss(pkt, path.index)
         for pkt in result.lost:
-            self.protoops.run(self, "on_packet_lost", None, pkt, path.index)
+            self.ops.on_packet_lost(self, pkt, path.index)
         self._maybe_persistent_congestion(space, path, result.lost)
         if result.newly_acked:
             # Forward progress: the PTO backoff restarts (RFC 9002 §6.2.1).
             self._pto_count = 0
 
-    def _process_crypto_frame(self, conn, frame: F.CryptoFrame, ctx: dict) -> None:
+    def _process_crypto_frame(self, frame: F.CryptoFrame, ctx: dict) -> None:
         readable = self._crypto_recv.receive(frame.offset, frame.data, False)
         if readable:
-            self.protoops.run(self, "crypto_data_received", None, readable)
+            self.ops.crypto_data_received(self, readable)
 
-    def _process_stream_frame(self, conn, frame: F.StreamFrame, ctx: dict) -> None:
-        stream = self.protoops.run(self, "get_receive_stream", None, frame.stream_id)
+    def _process_stream_frame(self, frame: F.StreamFrame, ctx: dict) -> None:
+        stream = self.ops.get_receive_stream(self, frame.stream_id)
         before = stream.bytes_received
         readable = stream.receive(frame.offset, frame.data, frame.fin)
         newly = stream.bytes_received - before
@@ -850,27 +851,28 @@ class QuicConnection:
                     TransportErrorCode.FLOW_CONTROL_ERROR,
                     "connection flow control exceeded",
                 )
-        self.protoops.run(
-            self, "stream_data_received", None,
-            frame.stream_id, readable, stream.is_finished,
-        )
-        self.protoops.run(self, "update_flow_credit", None)
+        # A retransmitted FIN is reported to the application only once.
+        fin = stream.is_finished and not stream.fin_delivered
+        if fin:
+            stream.fin_delivered = True
+        self.ops.stream_data_received(self, frame.stream_id, readable, fin)
+        self.ops.update_flow_credit(self)
 
-    def _process_max_data_frame(self, conn, frame: F.MaxDataFrame, ctx: dict) -> None:
+    def _process_max_data_frame(self, frame: F.MaxDataFrame, ctx: dict) -> None:
         if frame.maximum > self.max_data_remote:
             self.max_data_remote = frame.maximum
 
-    def _process_max_stream_data_frame(self, conn, frame: F.MaxStreamDataFrame, ctx: dict) -> None:
+    def _process_max_stream_data_frame(self, frame: F.MaxStreamDataFrame, ctx: dict) -> None:
         self._get_or_create_streams(frame.stream_id)
         self.streams_send[frame.stream_id].update_max_stream_data(frame.maximum)
 
-    def _process_reset_stream_frame(self, conn, frame: F.ResetStreamFrame, ctx: dict) -> None:
+    def _process_reset_stream_frame(self, frame: F.ResetStreamFrame, ctx: dict) -> None:
         self._get_or_create_streams(frame.stream_id)
         stream = self.streams_recv[frame.stream_id]
         stream.final_size = frame.final_size
-        self.protoops.run(self, "stream_closed", None, frame.stream_id)
+        self.ops.stream_closed(self, frame.stream_id)
 
-    def _process_new_connection_id(self, conn, frame: F.NewConnectionIdFrame, ctx: dict) -> None:
+    def _process_new_connection_id(self, frame: F.NewConnectionIdFrame, ctx: dict) -> None:
         """Stash a peer-issued CID (§5.1.1) for rotation on migration
         (§9.5), and its stateless reset token (§10.3) for detection."""
         if frame.connection_id and frame.connection_id not in self.peer_cids_available:
@@ -878,7 +880,7 @@ class QuicConnection:
         if frame.reset_token:
             self._peer_reset_tokens.add(bytes(frame.reset_token))
 
-    def _process_path_challenge(self, conn, frame: F.PathChallengeFrame, ctx: dict) -> None:
+    def _process_path_challenge(self, frame: F.PathChallengeFrame, ctx: dict) -> None:
         # §8.2.2: the response must leave on the path the challenge came
         # in on, so it rides the per-path probe queue rather than the
         # path-agnostic control-frame queue.
@@ -887,7 +889,7 @@ class QuicConnection:
             F.PathResponseFrame(data=frame.data))
         self.stats["path_responses_sent"] += 1
 
-    def _process_path_response(self, conn, frame: F.PathResponseFrame, ctx: dict) -> None:
+    def _process_path_response(self, frame: F.PathResponseFrame, ctx: dict) -> None:
         for path in self.paths:
             if path.challenge_data == frame.data:
                 path.challenge_data = None
@@ -896,9 +898,9 @@ class QuicConnection:
                 path.amp_limited = False
                 path.active = True
                 self._set_path_state(path, PathState.VALIDATED)
-                self.protoops.run(self, "path_validated", None, path.index)
+                self.ops.path_validated(self, path.index)
 
-    def _process_connection_close(self, conn, frame: F.ConnectionCloseFrame, ctx: dict) -> None:
+    def _process_connection_close(self, frame: F.ConnectionCloseFrame, ctx: dict) -> None:
         if self.state is ConnectionState.ACTIVE:
             self._finish_close(frame.error_code, frame.reason,
                                next_state=ConnectionState.DRAINING)
@@ -1044,41 +1046,39 @@ class QuicConnection:
     # ACK / loss protoops.
     # ------------------------------------------------------------------
 
-    def _op_update_rtt(self, conn, path_index: int, latest: float, ack_delay: float) -> float:
+    def _op_update_rtt(self, path_index: int, latest: float, ack_delay: float) -> float:
         path = self.paths[path_index]
-        self.protoops.run(self, "rtt_updated", None, path_index, latest)
+        self.ops.rtt_updated(self, path_index, latest)
         return path.rtt.smoothed
 
-    def _op_on_packet_acked(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_on_packet_acked(self, pkt: SentPacket, path_index: int) -> None:
         if pkt.in_flight:
-            self.protoops.run(self, "congestion_on_ack", None, pkt, path_index)
+            self.ops.congestion_on_ack(self, pkt, path_index)
         for frame in pkt.frames:
-            self.protoops.run(
-                self, "notify_frame", self._frame_param(frame.type), frame, True, pkt
-            )
-        self.protoops.run(self, "packet_acked_event", None, pkt)
+            self._notify_frame(frame, True, pkt)
+        self.ops.packet_acked_event(self, pkt)
 
-    def _op_on_packet_lost(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_on_packet_lost(self, pkt: SentPacket, path_index: int) -> None:
         self.stats["packets_lost"] += 1
         if pkt.in_flight:
-            self.protoops.run(self, "congestion_on_loss", None, pkt, path_index)
-        self.protoops.run(self, "retransmit_packet", None, pkt)
-        self.protoops.run(self, "packet_lost_event", None, pkt)
+            self.ops.congestion_on_loss(self, pkt, path_index)
+        self.ops.retransmit_packet(self, pkt)
+        self.ops.packet_lost_event(self, pkt)
 
-    def _op_congestion_on_ack(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_congestion_on_ack(self, pkt: SentPacket, path_index: int) -> None:
         path = self.paths[path_index]
         old = path.cc.state
         path.cc.on_ack(pkt.size, self.now, pkt.sent_time,
                        app_limited=pkt.app_limited)
         self._emit_cc_state(path_index, old, path.cc.state, "ack")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+        self.ops.cc_window_updated(self, path_index, path.cc.cwnd)
 
-    def _op_congestion_on_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_congestion_on_loss(self, pkt: SentPacket, path_index: int) -> None:
         path = self.paths[path_index]
         old = path.cc.state
         path.cc.on_loss(pkt.size, self.now, pkt.sent_time)
         self._emit_cc_state(path_index, old, path.cc.state, "loss")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+        self.ops.cc_window_updated(self, path_index, path.cc.cwnd)
 
     def _run_spurious_loss(self, pkt: SentPacket, path_index: int) -> None:
         """Dispatch the ``on_spurious_loss`` protoop anchor, registering
@@ -1087,10 +1087,10 @@ class QuicConnection:
         table = self.protoops
         if not table.exists("on_spurious_loss") or \
                 not table.get("on_spurious_loss").defaults:
-            table.register("on_spurious_loss", self._op_on_spurious_loss)
+            table.register("on_spurious_loss", type(self)._op_on_spurious_loss)
         table.run(self, "on_spurious_loss", None, pkt, path_index)
 
-    def _op_on_spurious_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_on_spurious_loss(self, pkt: SentPacket, path_index: int) -> None:
         """A packet declared lost was later acknowledged: the loss was
         spurious.  The send-side mirror of the receive side's
         ``spurious_received`` accounting — and the congestion response
@@ -1102,7 +1102,7 @@ class QuicConnection:
         if pkt.in_flight:
             path.cc.on_spurious_loss(pkt.size, pkt.lost_time, pkt.sent_time)
         self._emit_cc_state(path_index, old, path.cc.state, "spurious_loss")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+        self.ops.cc_window_updated(self, path_index, path.cc.cwnd)
 
     def _maybe_persistent_congestion(self, space: PacketNumberSpace,
                                      path: Path, lost: list) -> None:
@@ -1120,82 +1120,80 @@ class QuicConnection:
         self._record_recovery_metric("persistent_congestion")
         self._emit_cc_state(path.index, old, path.cc.state,
                             "persistent_congestion")
-        self.protoops.run(self, "cc_window_updated", None, path.index, path.cc.cwnd)
+        self.ops.cc_window_updated(self, path.index, path.cc.cwnd)
 
-    def _op_retransmit_packet(self, conn, pkt: SentPacket) -> None:
+    def _op_retransmit_packet(self, pkt: SentPacket) -> None:
         for frame in pkt.frames:
-            self.protoops.run(
-                self, "notify_frame", self._frame_param(frame.type), frame, False, pkt
-            )
+            self._notify_frame(frame, False, pkt)
 
-    def _default_frame_notifiers(self) -> dict:
+    def _notify_frame(self, frame: F.Frame, acked: bool, pkt: SentPacket) -> None:
+        param = self._frame_param(frame.type)
+        slot = self.ops.notify_frame.get(param)
+        if slot is None:  # a no-op, run by name so run counting sees it
+            self.protoops.run(self, "notify_frame", param, frame, acked, pkt)
+        else:
+            slot(self, frame, acked, pkt)
+
+    @classmethod
+    def _default_frame_notifiers(cls) -> dict:
         """Default ACK/loss notifications per frame type.
 
         Signature: (conn, frame, acked: bool, sent_packet).
         """
-        def stream_notify(conn, frame, acked, pkt):
-            stream = self.streams_send.get(frame.stream_id)
-            if stream is None:
-                return
-            if acked:
-                stream.on_ack(frame.offset, len(frame.data), frame.fin)
-                if stream.all_acked:
-                    self.protoops.run(self, "stream_closed", None, frame.stream_id)
-            else:
-                stream.on_loss(frame.offset, len(frame.data), frame.fin)
-
-        def crypto_notify(conn, frame, acked, pkt):
-            if acked:
-                self._crypto_send.on_ack(frame.offset, len(frame.data), False)
-            else:
-                self._crypto_send.on_loss(frame.offset, len(frame.data), False)
-
-        def requeue_on_loss(conn, frame, acked, pkt):
-            if not acked:
-                self._control_frames.append(frame)
-
-        def ignore(conn, frame, acked, pkt):
-            return None
-
-        def path_challenge_lost(conn, frame, acked, pkt):
+        return {
+            "stream": cls._notify_stream,
+            F.CRYPTO: cls._notify_crypto,
+            F.MAX_DATA: cls._requeue_on_loss,
+            F.MAX_STREAM_DATA: cls._requeue_on_loss,
+            F.MAX_STREAMS: cls._requeue_on_loss,
+            F.RESET_STREAM: cls._requeue_on_loss,
+            F.STOP_SENDING: cls._requeue_on_loss,
+            F.PING: cls._ignore_frame,
+            F.ACK: cls._ignore_frame,
+            F.PADDING: cls._ignore_frame,
             # Probe retransmission is timer-driven (PTO backoff in
             # _on_probe_timeout), so a lost challenge is NOT requeued
             # here: doing both would duplicate probes, and the generic
             # control-frame queue could not honour the per-path routing
             # of §8.2.2 anyway.
-            return None
-
-        def path_response_lost(conn, frame, acked, pkt):
+            F.PATH_CHALLENGE: cls._ignore_frame,
             # §13.3: a PATH_RESPONSE is sent only once.  If it is lost,
             # the peer's probe-retransmit repeats the PATH_CHALLENGE and
             # a fresh response answers that copy.
-            return None
-
-        return {
-            "stream": stream_notify,
-            F.CRYPTO: crypto_notify,
-            F.MAX_DATA: requeue_on_loss,
-            F.MAX_STREAM_DATA: requeue_on_loss,
-            F.MAX_STREAMS: requeue_on_loss,
-            F.RESET_STREAM: requeue_on_loss,
-            F.STOP_SENDING: requeue_on_loss,
-            F.PING: ignore,
-            F.ACK: ignore,
-            F.PADDING: ignore,
-            F.PATH_CHALLENGE: path_challenge_lost,
-            F.PATH_RESPONSE: path_response_lost,
-            F.CONNECTION_CLOSE: ignore,
-            F.HANDSHAKE_DONE: requeue_on_loss,
-            F.NEW_CONNECTION_ID: requeue_on_loss,
-            F.DATA_BLOCKED: ignore,
-            F.STREAM_DATA_BLOCKED: ignore,
+            F.PATH_RESPONSE: cls._ignore_frame,
+            F.CONNECTION_CLOSE: cls._ignore_frame,
+            F.HANDSHAKE_DONE: cls._requeue_on_loss,
+            F.NEW_CONNECTION_ID: cls._requeue_on_loss,
+            F.DATA_BLOCKED: cls._ignore_frame,
+            F.STREAM_DATA_BLOCKED: cls._ignore_frame,
         }
+
+    def _notify_stream(self, frame, acked: bool, pkt) -> None:
+        stream = self.streams_send.get(frame.stream_id)
+        if stream is None:
+            return
+        if acked:
+            stream.on_ack(frame.offset, len(frame.data), frame.fin)
+            if stream.all_acked:
+                self.ops.stream_closed(self, frame.stream_id)
+        else:
+            stream.on_loss(frame.offset, len(frame.data), frame.fin)
+
+    def _notify_crypto(self, frame, acked: bool, pkt) -> None:
+        if acked:
+            self._crypto_send.on_ack(frame.offset, len(frame.data), False)
+        else:
+            self._crypto_send.on_loss(frame.offset, len(frame.data), False)
+
+    def _requeue_on_loss(self, frame, acked: bool, pkt) -> None:
+        if not acked:
+            self._control_frames.append(frame)
 
     # ------------------------------------------------------------------
     # Timers.
     # ------------------------------------------------------------------
 
-    def _op_set_loss_alarm(self, conn) -> Optional[float]:
+    def _op_set_loss_alarm(self) -> Optional[float]:
         """Earliest loss/PTO deadline across spaces and paths."""
         deadlines = []
         t = self.initial_space.next_timer(self.paths[0].rtt, self._pto_count)
@@ -1207,7 +1205,7 @@ class QuicConnection:
                 deadlines.append(t)
         return min(deadlines) if deadlines else None
 
-    def _op_set_idle_timer(self, conn) -> float:
+    def _op_set_idle_timer(self) -> float:
         return self._last_activity + self.configuration.transport_parameters.idle_timeout
 
     def next_timer(self) -> Optional[float]:
@@ -1215,8 +1213,8 @@ class QuicConnection:
             return None
         if self.drain_deadline is not None:
             return self.drain_deadline
-        alarm = self.protoops.run(self, "set_loss_alarm", None)
-        idle = self.protoops.run(self, "set_idle_timer", None)
+        alarm = self.ops.set_loss_alarm(self)
+        idle = self.ops.set_idle_timer(self)
         probes = (p.probe_deadline for p in self.paths)
         hints = (hint() for hint in self.wakeup_hints)
         candidates = [t for t in (alarm, idle, *probes, *hints)
@@ -1231,10 +1229,10 @@ class QuicConnection:
             if now >= self.drain_deadline - 1e-12:
                 self._terminate()
             return
-        idle = self.protoops.run(self, "set_idle_timer", None)
+        idle = self.ops.set_idle_timer(self)
         if now >= idle:
             # Silent close (RFC 9000 §10.1): nothing is sent, no drain.
-            self.protoops.run(self, "idle_timeout_event", None)
+            self.ops.idle_timeout_event(self)
             self._finish_close(0, "idle timeout",
                                next_state=ConnectionState.CLOSED)
             return
@@ -1242,18 +1240,18 @@ class QuicConnection:
             if (path.probe_deadline is not None
                     and now >= path.probe_deadline - 1e-12):
                 self._on_probe_timeout(path)
-        alarm = self.protoops.run(self, "set_loss_alarm", None)
+        alarm = self.ops.set_loss_alarm(self)
         if alarm is not None and now >= alarm - 1e-12:
-            self.protoops.run(self, "on_loss_alarm", None)
+            self.ops.on_loss_alarm(self)
 
-    def _op_on_loss_alarm(self, conn) -> None:
-        self.protoops.run(self, "loss_alarm_fired", None)
+    def _op_on_loss_alarm(self) -> None:
+        self.ops.loss_alarm_fired(self)
         fired = False
         for space, path in self._spaces_and_paths():
             if space.loss_time is not None and self.now >= space.loss_time - 1e-12:
-                lost = self.protoops.run(self, "detect_lost_packets", None, space, path.index)
+                lost = self.ops.detect_lost_packets(self, space, path.index)
                 for pkt in lost:
-                    self.protoops.run(self, "on_packet_lost", None, pkt, path.index)
+                    self.ops.on_packet_lost(self, pkt, path.index)
                 self._maybe_persistent_congestion(space, path, lost)
                 fired = True
         if not fired:
@@ -1272,8 +1270,7 @@ class QuicConnection:
                         # Legacy declare-all-lost behavior, kept only as
                         # the bench baseline the probe path must beat.
                         for pkt in space.declare_all_lost():
-                            self.protoops.run(
-                                self, "on_packet_lost", None, pkt, path.index)
+                            self.ops.on_packet_lost(self, pkt, path.index)
                     else:
                         self._send_pto_probes(space, path)
 
@@ -1289,7 +1286,7 @@ class QuicConnection:
             if space is self.initial_space:
                 # Handshake data re-enters the crypto send queue; the
                 # scheduler already treats Initial crypto as cwnd-exempt.
-                self.protoops.run(self, "retransmit_packet", None, pkt)
+                self.ops.retransmit_packet(self, pkt)
             else:
                 # Only retransmittable frames ride in a probe: unreliable
                 # extension frames (DATAGRAM, §4.2) must never be
@@ -1306,7 +1303,7 @@ class QuicConnection:
             self._record_recovery_metric("probes_sent")
             self._run_extension_event("probe_sent", pkt, path.index)
 
-    def _op_detect_lost_packets(self, conn, space: PacketNumberSpace, path_index: int) -> list:
+    def _op_detect_lost_packets(self, space: PacketNumberSpace, path_index: int) -> list:
         return space.detect_lost(self.now, self.paths[path_index].rtt)
 
     def _spaces_and_paths(self):
@@ -1334,7 +1331,7 @@ class QuicConnection:
             # authenticated packet).
             self.paths[path_index].amp_received += len(data)
         try:
-            self.protoops.run(self, "process_incoming_packet", None, data, path_index)
+            self.ops.process_incoming_packet(self, data, path_index)
         except ProtoopError as exc:
             self.abort_on_plugin_failure(exc)
         except CryptoError:
@@ -1394,13 +1391,13 @@ class QuicConnection:
             return False
         return False
 
-    def _op_parse_packet_header(self, conn, buf: Buffer) -> tuple:
+    def _op_parse_packet_header(self, buf: Buffer) -> tuple:
         return parse_header(buf, CID_LENGTH)
 
-    def _op_decode_packet_number(self, conn, truncated: int, largest: int) -> int:
+    def _op_decode_packet_number(self, truncated: int, largest: int) -> int:
         return decode_packet_number(truncated, largest)
 
-    def _op_process_incoming_packet(self, conn, data: bytes, path_index: int) -> None:
+    def _op_process_incoming_packet(self, data: bytes, path_index: int) -> None:
         """Process every QUIC packet coalesced into the datagram (§12.2).
 
         Everything up to AEAD opening works on unauthenticated bytes: a
@@ -1420,8 +1417,7 @@ class QuicConnection:
         while not buf.eof():
             start = buf.position
             try:
-                header, payload_len = self.protoops.run(
-                    self, "parse_packet_header", None, buf)
+                header, payload_len = self.ops.parse_packet_header(self, buf)
                 header_bytes = mview[start:buf.position]
                 ciphertext = buf.pull_view(payload_len)
             except ProtoopError:
@@ -1459,10 +1455,8 @@ class QuicConnection:
                 path_index = 0
             space = (self.initial_space if epoch is Epoch.INITIAL
                      else self.paths[path_index].space)
-            full_pn = self.protoops.run(
-                self, "decode_packet_number", None,
-                header.packet_number, space.largest_received,
-            )
+            full_pn = self.ops.decode_packet_number(
+                self, header.packet_number, space.largest_received)
             try:
                 plaintext = pair.recv.open(full_pn, header_bytes, ciphertext)
             except CryptoError:
@@ -1478,7 +1472,7 @@ class QuicConnection:
                 new_spin = (header.spin_bit if not self.is_client
                             else not header.spin_bit)
                 if new_spin != self.spin_bit:
-                    self.protoops.run(self, "spin_bit_flipped", None, new_spin)
+                    self.ops.spin_bit_flipped(self, new_spin)
                 self.spin_bit = new_spin
             self._process_payload(epoch, path_index, full_pn, plaintext, space)
 
@@ -1495,33 +1489,30 @@ class QuicConnection:
         ctx = {"epoch": epoch, "path_index": path_index, "packet_number": pn}
         ack_eliciting = False
         decoded = []
-        table = self.protoops
+        parsers = self.ops.parse_frame
         while not buf.eof():
             frame_type = buf.pull_varint()
-            param = self._frame_param(frame_type)
-            if not table.has_behavior("parse_frame", param):
-                param = "default"
-            frame = table.run(self, "parse_frame", param, buf, frame_type)
-            decoded.append((frame_type, frame))
+            parse = (parsers.get(self._frame_param(frame_type))
+                     or parsers["default"])
+            decoded.append((frame_type, parse(self, buf, frame_type)))
         if not space.record_received(pn, self.now, False):
             self.stats["spurious_received"] += 1
             return  # duplicate (e.g. already FEC-recovered)
+        processors = self.ops.process_frame
         for frame_type, frame in decoded:
             self.stats["frames_received"] += 1
             if frame.ack_eliciting:
                 ack_eliciting = True
-            param = self._frame_param(frame_type)
-            if param not in table.known_params("process_frame"):
+            process = processors.get(self._frame_param(frame_type))
+            if process is None:
                 raise ProtocolViolation(f"no processor for frame 0x{frame_type:x}")
-            table.run(self, "process_frame", param, frame, ctx)
+            process(self, frame, ctx)
         if ack_eliciting:
             space.ack_needed = True
-        self.protoops.run(self, "frames_decoded", None, epoch, path_index, pn, decoded)
-        self.protoops.run(
-            self, "packet_received_event", None, epoch, path_index, pn, plaintext
-        )
+        self.ops.frames_decoded(self, epoch, path_index, pn, decoded)
+        self.ops.packet_received_event(self, epoch, path_index, pn, plaintext)
 
-    def _op_process_recovered_payload(self, conn, path_index: int, pn: int, plaintext: bytes) -> None:
+    def _op_process_recovered_payload(self, path_index: int, pn: int, plaintext: bytes) -> None:
         """Inject a FEC-recovered packet payload as if the packet arrived."""
         space = self.paths[path_index].space
         if pn in space.received:
@@ -1532,23 +1523,23 @@ class QuicConnection:
     # Sending datagrams.
     # ------------------------------------------------------------------
 
-    def _op_get_destination_cid(self, conn) -> bytes:
+    def _op_get_destination_cid(self) -> bytes:
         return self.peer_cid
 
-    def _op_get_source_cid(self, conn) -> bytes:
+    def _op_get_source_cid(self) -> bytes:
         return self.local_cid
 
-    def _op_set_spin_bit(self, conn) -> bool:
+    def _op_set_spin_bit(self) -> bool:
         return self.spin_bit
 
-    def _op_select_sending_path(self, conn) -> int:
+    def _op_select_sending_path(self) -> int:
         """Default single-path behaviour; the multipath plugin replaces it."""
         return 0
 
-    def _op_get_path(self, conn, index: int) -> Path:
+    def _op_get_path(self, index: int) -> Path:
         return self.paths[index]
 
-    def _op_map_incoming_path(self, conn, local_addr: str, peer_addr: str) -> int:
+    def _op_map_incoming_path(self, local_addr: str, peer_addr: str) -> int:
         """Which path an incoming datagram belongs to. The multipath
         plugin replaces this to create paths for new address pairs."""
         for path in self.paths:
@@ -1556,7 +1547,7 @@ class QuicConnection:
                 return path.index
         return 0
 
-    def _op_create_path(self, conn, local_addr: str, peer_addr: str) -> int:
+    def _op_create_path(self, local_addr: str, peer_addr: str) -> int:
         path = Path(len(self.paths), self.configuration.initial_window)
         path.local_addr = local_addr
         path.peer_addr = peer_addr
@@ -1567,13 +1558,13 @@ class QuicConnection:
         if self.peer_transport_parameters is not None:
             path.rtt.max_ack_delay = self.peer_transport_parameters.max_ack_delay
         self.paths.append(path)
-        self.protoops.run(self, "path_created", None, path.index)
+        self.ops.path_created(self, path.index)
         return path.index
 
-    def _op_path_bytes_allowed(self, conn, path_index: int) -> int:
+    def _op_path_bytes_allowed(self, path_index: int) -> int:
         return self.paths[path_index].cc.available_window
 
-    def _op_stream_to_send(self, conn) -> Optional[int]:
+    def _op_stream_to_send(self) -> Optional[int]:
         """Pick the next stream with sendable data (round-robin-ish)."""
         for stream_id, stream in self.streams_send.items():
             if stream.has_pending and (
@@ -1584,13 +1575,13 @@ class QuicConnection:
                 return stream_id
         return None
 
-    def _op_reserve_frame_slot(self, conn, reserved: ReservedFrame) -> None:
+    def _op_reserve_frame_slot(self, reserved: ReservedFrame) -> None:
         self.reserved_frames.append(reserved)
 
     def reserve_frames(self, reserved: list) -> None:
         """Plugin API (Table 1): book slots for sending frames."""
         for r in reserved:
-            self.protoops.run(self, "reserve_frame_slot", None, r)
+            self.ops.reserve_frame_slot(self, r)
 
     def datagrams_to_send(self, now: float) -> list:
         """Build as many packets as credit allows; returns
@@ -1607,7 +1598,7 @@ class QuicConnection:
         if self.closed:
             return out
         for _ in range(256):  # per-call packet budget
-            built = self.protoops.run(self, "prepare_packet", None)
+            built = self.ops.prepare_packet(self)
             if built is None:
                 break
             out.append(built)
@@ -1656,10 +1647,10 @@ class QuicConnection:
         payload = self._close_frame_pending.to_bytes()
         return self._protect_and_record(epoch, 0, payload, [], False)
 
-    def _op_prepare_packet(self, conn) -> Optional[tuple]:
+    def _op_prepare_packet(self) -> Optional[tuple]:
         """Build one packet if anything needs sending. Returns
         (datagram_bytes, path_index) or None."""
-        self.protoops.run(self, "before_sending_packet", None)
+        self.ops.before_sending_packet(self)
         # Initial epoch first (handshake); the call also queues a pending
         # ClientHello.
         if self._initial_needs_sending():
@@ -1676,7 +1667,7 @@ class QuicConnection:
                 pkt = self._prepare_epoch_packet(Epoch.ONE_RTT, path.index)
                 if pkt is not None:
                     return pkt, path.index
-        path_index = self.protoops.run(self, "select_sending_path", None)
+        path_index = self.ops.select_sending_path(self)
         pkt = self._prepare_epoch_packet(Epoch.ONE_RTT, path_index)
         if pkt is not None:
             return pkt, path_index
@@ -1704,18 +1695,17 @@ class QuicConnection:
                 self._record_path_metric("amp_blocked")
                 return None
             budget = min(budget, allowed)
-        frames, ack_only = self.protoops.run(
-            self, "schedule_frames", None, epoch, path_index, budget
-        )
+        frames, ack_only = self.ops.schedule_frames(
+            self, epoch, path_index, budget)
         if not frames:
             return None
         payload = self._payload_buf
         payload.clear()
+        writers = self.ops.write_frame
         for frame in frames:
-            self.protoops.run(
-                self, "write_frame",
-                self._write_param(frame), frame, payload,
-            )
+            write = (writers.get(self._frame_param(frame.type))
+                     or writers["default"])
+            write(self, frame, payload)
         plaintext = payload.data()
         if self._shadow_encode:
             # Differential check: the scatter-gather encode must be
@@ -1727,12 +1717,6 @@ class QuicConnection:
             epoch, path_index, plaintext, frames, not ack_only
         )
 
-    def _write_param(self, frame: F.Frame) -> Any:
-        param = self._frame_param(frame.type)
-        if param in self.protoops.known_params("write_frame"):
-            return param
-        return "default"
-
     def _protect_and_record(
         self,
         epoch: Epoch,
@@ -1741,14 +1725,11 @@ class QuicConnection:
         frames: list,
         ack_eliciting: bool,
     ) -> bytes:
-        return self.protoops.run(
-            self, "finalize_and_protect_packet", None,
-            epoch, path_index, plaintext, frames, ack_eliciting,
-        )
+        return self.ops.finalize_and_protect_packet(
+            self, epoch, path_index, plaintext, frames, ack_eliciting)
 
-    def _op_finalize_and_protect(
+    def _op_finalize_and_protect_packet(
         self,
-        conn,
         epoch: Epoch,
         path_index: int,
         plaintext: bytes,
@@ -1758,21 +1739,21 @@ class QuicConnection:
         path = self.paths[path_index]
         space = self.initial_space if epoch is Epoch.INITIAL else path.space
         pn = space.take_packet_number()
-        self.protoops.run(self, "packet_ready", None, epoch, path_index, pn, plaintext)
+        self.ops.packet_ready(self, epoch, path_index, pn, plaintext)
         if epoch is Epoch.INITIAL:
-            dcid = self.protoops.run(self, "get_destination_cid", None)
+            dcid = self.ops.get_destination_cid(self)
             header = encode_long_header(
                 PacketType.INITIAL,
                 dcid,
-                self.protoops.run(self, "get_source_cid", None),
+                self.ops.get_source_cid(self),
                 pn,
                 len(plaintext) + TAG_LENGTH,
             )
         else:
             header = encode_short_header(
-                self.protoops.run(self, "get_destination_cid", None),
+                self.ops.get_destination_cid(self),
                 pn,
-                spin_bit=self.protoops.run(self, "set_spin_bit", None),
+                spin_bit=self.ops.set_spin_bit(self),
             )
         pkt_buf = self._pkt_buf
         del pkt_buf[:]
@@ -1833,7 +1814,7 @@ class QuicConnection:
         self.stats["packets_sent"] += 1
         self.stats["bytes_sent"] += len(packet)
         self._last_activity = self.now
-        self.protoops.run(self, "packet_sent_event", None, sent)
+        self.ops.packet_sent_event(self, sent)
         return packet
 
     # ------------------------------------------------------------------
@@ -1841,7 +1822,7 @@ class QuicConnection:
     # once plugins reserve frames).
     # ------------------------------------------------------------------
 
-    def _op_schedule_frames(self, conn, epoch: Epoch, path_index: int, budget: int) -> tuple:
+    def _op_schedule_frames(self, epoch: Epoch, path_index: int, budget: int) -> tuple:
         """Fill one packet's frame list. Returns (frames, ack_only)."""
         from repro.core.scheduler import schedule_packet_frames
 

@@ -138,10 +138,8 @@ class _ConnectionDriver:
 
     def _receive_one(self, dgram: Datagram) -> None:
         try:
-            path_index = self.conn.protoops.run(
-                self.conn, "map_incoming_path", None,
-                dgram.dst_addr, dgram.src_addr,
-            )
+            path_index = self.conn.ops.map_incoming_path(
+                self.conn, dgram.dst_addr, dgram.src_addr)
         except Exception:
             path_index = 0
         if path_index >= len(self.conn.paths):

@@ -76,14 +76,7 @@ class PaddingFrame(Frame):
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "PaddingFrame":
-        length = 1
-        while not buf.eof():
-            if buf.pull_uint8() == 0:
-                length += 1
-            else:
-                buf.seek(buf.position - 1)
-                break
-        return cls(length=length)
+        return cls(length=1 + buf.skip_zeros())
 
 
 @dataclass
@@ -133,12 +126,13 @@ class AckFrame(Frame):
         ack_delay = buf.pull_varint() / 1_000_000
         count = buf.pull_varint()
         first_len = buf.pull_varint()
-        ranges = RangeSet()
         end = largest + 1
         start = end - first_len - 1
         if start < 0:
             raise FrameEncodingError("ACK first range underflows")
-        ranges.add(start, end)
+        # Descending and separated by at least one missing packet, so
+        # the reversed list is already sorted and coalesced.
+        desc = [range(start, end)]
         for _ in range(count):
             gap = buf.pull_varint()
             length = buf.pull_varint()
@@ -146,8 +140,9 @@ class AckFrame(Frame):
             start = end - length - 1
             if start < 0:
                 raise FrameEncodingError("ACK range underflows")
-            ranges.add(start, end)
-        return cls(ranges=ranges, ack_delay=ack_delay)
+            desc.append(range(start, end))
+        desc.reverse()
+        return cls(ranges=RangeSet(desc), ack_delay=ack_delay)
 
 
 @dataclass

@@ -9,11 +9,13 @@ reassembly.
 from __future__ import annotations
 
 import bisect
+import re
 from typing import Iterable, Iterator, Optional
 
 from .errors import FrameEncodingError
 
 VARINT_MAX = (1 << 62) - 1
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 def varint_size(value: int) -> int:
@@ -116,6 +118,14 @@ class Buffer:
             raise FrameEncodingError(f"read of {n} bytes past end")
         self._pos = pos + n
         return memoryview(self._data)[pos:pos + n]
+
+    def skip_zeros(self) -> int:
+        """Skip the run of zero bytes at the read position and return
+        its length: one C-level scan, without copying the tail."""
+        pos = self._pos
+        match = _NONZERO.search(self._data, pos)
+        self._pos = match.start() if match else len(self._data)
+        return self._pos - pos
 
     def pull_uint8(self) -> int:
         return self.pull_bytes(1)[0]

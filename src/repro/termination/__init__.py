@@ -1,6 +1,7 @@
 """Termination checking of pluglet bytecode (the paper's T2 validation)."""
 
-from .cfg import BasicBlock, ControlFlowGraph
+from repro.vm.analysis.cfg import BasicBlock, ControlFlowGraph
+
 from .checker import LoopReport, TerminationReport, check_termination
 
 __all__ = [

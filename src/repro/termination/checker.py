@@ -39,7 +39,7 @@ from repro.vm.isa import (
     Op,
 )
 
-from .cfg import ControlFlowGraph
+from repro.vm.analysis.cfg import ControlFlowGraph
 
 MAX_PATHS = 256
 

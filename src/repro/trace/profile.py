@@ -15,8 +15,8 @@ makes :class:`~repro.core.plugin.PluginInstance` record, per
 
 Profiling is strictly opt-in: without an attached profiler the invoke
 path keeps a single ``is not None`` test on an instance attribute, and
-the protoop dispatcher is untouched (run counting is embedded in the
-table's cached call plans rather than branching on every dispatch).
+the protoop slots stay bare defaults (run counting binds counting plans
+into the slots only while a profiler is attached).
 """
 
 from __future__ import annotations

@@ -192,6 +192,45 @@ class TestDataTransfer:
             timeout=60,
         )
 
+    def test_retransmitted_fin_reported_once(self):
+        """A STREAM FIN that arrives again after the stream ended is not
+        passed to the application a second time."""
+        from repro.quic import frames as F
+        from repro.quic.connection import QuicConnection
+
+        conn = QuicConnection(QuicConfiguration(is_client=True))
+        seen = []
+        conn.on_stream_data = lambda sid, data, fin: seen.append((data, fin))
+        frame = F.StreamFrame(stream_id=1, offset=0, data=b"abc", fin=True)
+        process = conn.ops.process_frame["stream"]
+        process(conn, frame, {})
+        process(conn, frame, {})
+        process(conn, F.StreamFrame(stream_id=1, offset=3, data=b"", fin=True), {})
+        assert seen == [(b"abc", True)]
+        assert conn.streams_recv[1].fin_delivered
+
+    def test_fin_reported_once_under_loss(self):
+        # At 15% loss with this seed, three FINs are retransmitted after
+        # the server already consumed them.
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=10, bw_mbps=10, loss_pct=15, seed=1)
+        client, server = build_pair(sim, topo)
+        fins = []
+
+        def on_conn(conn):
+            conn.on_stream_data = lambda sid, data, fin: fin and fins.append(sid)
+
+        server.on_connection = on_conn
+        client.connect()
+        assert sim.run_until(lambda: client.conn.is_established, timeout=10.0)
+        for _ in range(8):
+            sid = client.conn.create_stream()
+            client.conn.send_stream_data(sid, b"q" * 3000, fin=True)
+        client.pump()
+        assert sim.run_until(lambda: len(set(fins)) == 8, timeout=60)
+        sim.run_until(lambda: False, timeout=5)
+        assert sorted(fins) == sorted(set(fins))
+
 
 class TestFlowControl:
     def test_connection_flow_control_respected_and_extended(self):
@@ -307,6 +346,8 @@ class TestStats:
         sim = Simulator()
         topo = symmetric_topology(sim, d_ms=10, bw_mbps=10)
         client, server = build_pair(sim, topo)
+        # Bare default slots are not counted; counting binds every slot.
+        client.conn.protoops.enable_run_counting()
         run_transfer(sim, client, server, 10_000)
         assert client.conn.protoops.runs > 100
 

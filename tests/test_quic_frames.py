@@ -173,3 +173,76 @@ def test_stream_roundtrip_property(stream_id, offset, data, fin):
     assert parsed.offset == offset
     assert parsed.data == data
     assert parsed.fin == fin
+
+
+def _parse_ack_by_add(buf):
+    """ACK parse inserting each range into a RangeSet as it is decoded
+    (descending order), the reference for the one-pass parse."""
+    largest = buf.pull_varint()
+    buf.pull_varint()
+    count = buf.pull_varint()
+    first_len = buf.pull_varint()
+    ranges = RangeSet()
+    end = largest + 1
+    start = end - first_len - 1
+    if start < 0:
+        raise FrameEncodingError("ACK first range underflows")
+    ranges.add(start, end)
+    for _ in range(count):
+        gap = buf.pull_varint()
+        length = buf.pull_varint()
+        end = start - gap - 1
+        start = end - length - 1
+        if start < 0:
+            raise FrameEncodingError("ACK range underflows")
+        ranges.add(start, end)
+    return ranges
+
+
+@given(
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 10),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+             max_size=40),
+)
+def test_ack_parse_matches_rangeset_add(largest, first_len, blocks):
+    buf = Buffer()
+    for value in (largest, 0, len(blocks), first_len):
+        buf.push_varint(value)
+    for gap, length in blocks:
+        buf.push_varint(gap)
+        buf.push_varint(length)
+    data = buf.data()
+    try:
+        expected = _parse_ack_by_add(Buffer(data))
+    except FrameEncodingError as exc:
+        with pytest.raises(FrameEncodingError, match=str(exc)):
+            F.AckFrame.parse(Buffer(data), F.ACK)
+        return
+    parsed = F.AckFrame.parse(Buffer(data), F.ACK)
+    assert parsed.ranges == expected
+    assert parsed.ranges.descending() == expected.descending()
+
+
+def _padding_by_byte_loop(buf):
+    """The byte-at-a-time PADDING parse: the reference for skip_zeros."""
+    length = 1
+    while not buf.eof():
+        if buf.pull_uint8() == 0:
+            length += 1
+        else:
+            buf.seek(buf.position - 1)
+            break
+    return length
+
+
+@given(st.binary(max_size=8), st.integers(0, 1500),
+       st.binary(max_size=8), st.sampled_from([bytes, bytearray, memoryview]))
+def test_padding_parse_matches_byte_loop(head, zeros, tail, backing):
+    data = head + b"\x00" * zeros + tail
+    new, old = Buffer(backing(data)), Buffer(backing(data))
+    new.seek(len(head))
+    old.seek(len(head))
+    frame = F.PaddingFrame.parse(new, F.PADDING)
+    assert frame.length == _padding_by_byte_loop(old)
+    assert new.position == old.position

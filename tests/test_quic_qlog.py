@@ -6,7 +6,7 @@ from repro.core import PluginInstance
 from repro.netsim import Simulator, symmetric_topology
 from repro.plugins.monitoring import build_monitoring_plugin
 from repro.quic import ClientEndpoint, ServerEndpoint
-from repro.quic.qlog import ConnectionTracer
+from repro.trace import ConnectionTracer
 
 
 def traced_transfer(size=40_000, loss=0, seed=3):
@@ -79,21 +79,3 @@ def test_event_cap():
         client.conn.protoops.run(client.conn, "stream_opened", None, i)
     assert len(tracer.events) == 3
 
-
-def test_qlog_shim_emits_single_deprecation_warning():
-    """The repro.quic.qlog alias warns exactly once, on (re-)import."""
-    import importlib
-    import sys
-    import warnings
-
-    sys.modules.pop("repro.quic.qlog", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.quic.qlog as shim
-        importlib.import_module("repro.quic.qlog")  # cached: no 2nd warning
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "repro.quic.qlog" in str(w.message)]
-    assert len(deprecations) == 1
-    assert "repro.trace" in str(deprecations[0].message)
-    assert shim.ConnectionTracer is ConnectionTracer

@@ -129,7 +129,9 @@ class TestDetach:
         # Counting stops: further dispatches leave the counts untouched.
         table.run(conn, "packet_sent_event", None)
         assert table.run_counts.get("packet_sent_event") == 1
-        # No plan in the cache carries a counting observer anymore.
-        table._plans.clear()
-        plan = table._build_plan("packet_sent_event", None)
-        assert plan[2] == ()
+        # Every slot is back to the bare default of a never-profiled
+        # connection: no counting plan is left bound.
+        fresh = QuicConnection(QuicConfiguration(is_client=True))
+        assert vars(conn.ops).keys() == vars(fresh.ops).keys()
+        for name, slot in vars(conn.ops).items():
+            assert slot == getattr(fresh.ops, name), name

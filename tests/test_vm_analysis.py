@@ -17,15 +17,16 @@ from repro.vm.analysis import (
     RULES,
     ControlFlowGraph,
     Severity,
+    VerificationError,
     analyze,
     analyze_plugin,
     lint_plugin,
+    verify,
 )
 from repro.vm.analysis import domain
 from repro.vm.asm import assemble
 from repro.vm.interpreter import HEAP_BASE, STACK_BASE
 from repro.vm.isa import STACK_SIZE, WORD_MASK, Instruction, Op
-from repro.vm.verifier import VerificationError, verify
 
 CORPUS = Path(__file__).parent / "corpus"
 

@@ -13,7 +13,7 @@ from repro.core.api import (
     H_RUN_PROTOOP,
     HELPER_EFFECTS,
 )
-from repro.core.protoop import ProtoopError
+from repro.core.protoop import Anchor, ProtoopError
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm.analysis import (
@@ -267,9 +267,8 @@ class TestAttachTimeConflicts:
         conn = make_conn()
         seen = []
         conn.protoops.declare("plugin_conflict_report")
-        conn.protoops.get("plugin_conflict_report").post.setdefault(
-            None, []).append(
-            lambda conn_, args, result: seen.append(args))
+        conn.protoops.attach("plugin_conflict_report", Anchor.POST,
+                             lambda conn_, args, result: seen.append(args))
         PluginInstance(_plugin("org.t.w1", [
             _writer(FLD_CWND, name="w1")]), conn).attach()
         PluginInstance(_plugin("org.t.w2", [

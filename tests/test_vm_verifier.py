@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vm import Instruction, Op, VerificationError, assemble, verify
-from repro.vm.verifier import verify_bytecode
+from repro.vm.analysis import verify_bytecode
 from repro.vm.isa import encode_program
 
 

@@ -237,18 +237,16 @@ def bench_pluglet_invocation(quick: bool) -> dict:
 
 
 def bench_protoop_dispatch(quick: bool) -> dict:
-    """Hot no-plugin dispatch through the cached protoop table."""
+    """Hot no-plugin dispatch: a call through the operation's bound slot."""
     from repro.quic import QuicConfiguration
     from repro.quic.connection import QuicConnection
 
     conn = QuicConnection(QuicConfiguration(is_client=True))
-    table = conn.protoops
     rounds = 10_000 if quick else 100_000
-    run = table.run
-    for _ in range(1_000):  # warm plans + caches
-        run(conn, "packet_sent_event", None)
-    t, _ = _time(lambda: [run(conn, "packet_sent_event", None)
-                          for _ in range(rounds)])
+    slot = conn.ops.packet_sent_event
+    for _ in range(1_000):  # warm up
+        slot(conn)
+    t, _ = _time(lambda: [slot(conn) for _ in range(rounds)])
     return {"protoop_dispatch_ops_per_sec": (rounds / t, "ops/s")}
 
 
@@ -303,13 +301,13 @@ def bench_trace_overhead(quick: bool) -> dict:
     on_tracer = ConnectionTracer(conn_on, max_events=rounds * (repeats + 2))
 
     def dispatch(conn):
-        run = conn.protoops.run
+        slot = conn.ops.packet_sent_event
         for _ in range(rounds):
-            run(conn, "packet_sent_event", None, sent)
+            slot(conn, sent)
 
     variants = [("off", conn_off), ("detached", conn_detached),
                 ("on", conn_on)]
-    for _, conn in variants:  # warm plans + caches identically
+    for _, conn in variants:  # warm up identically
         dispatch(conn)
     best = {name: float("inf") for name, _ in variants}
     # The live tracer retains every event; left unbounded, generational
