@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.quic import frames as F
 from repro.quic.connection import QuicConnection, ReservedFrame
@@ -522,9 +522,8 @@ class PluginExchanger:
             self.stats["integrity_failures"] += 1
             state.chunks.clear()
             return
-        reason = self._verify_incoming(name, compressed, state.proofs)
-        if reason is None:
-            plugin = Plugin.decompress(compressed)
+        reason, plugin = self._verify_incoming(name, compressed, state.proofs)
+        if plugin is not None:
             reason = self._analyze_received(plugin)
             if reason is None:
                 del self._incoming[name]
@@ -565,16 +564,18 @@ class PluginExchanger:
                             f"{diag.message}{where}")
         return None
 
-    def _verify_incoming(self, name: str, compressed: bytes, proofs: list):
+    def _verify_incoming(self, name: str, compressed: bytes,
+                         proofs: list) -> Tuple[Optional[str], Optional[Plugin]]:
         """Check of the proof of consistency (§3.3 / Figure 5).
 
-        Returns a rejection reason, or None on success."""
+        Returns ``(None, plugin)`` with the decoded plugin on success,
+        else ``(reason, None)``."""
         try:
             plugin = Plugin.decompress(compressed)
         except Exception as exc:
-            return f"undecodable plugin: {exc}"
+            return f"undecodable plugin: {exc}", None
         if plugin.name != name:
-            return "plugin name mismatch"
+            return "plugin name mismatch", None
         code = plugin.serialize()
         satisfied = set()
         str_mismatch: Optional[str] = None
@@ -596,18 +597,18 @@ class PluginExchanger:
             satisfied.add(vid)
         if not self.formula_text:
             if satisfied or not proofs:
-                return None
-            return str_mismatch or "no valid proofs"
+                return None, plugin
+            return str_mismatch or "no valid proofs", None
         formula = parse_formula(self.formula_text)
         if formula.evaluate(satisfied):
             self.rejected.pop(name, None)
-            return None
+            return None, plugin
         if str_mismatch is not None:
-            return str_mismatch  # definitive: a PV served a divergent STR
+            return str_mismatch, None  # definitive: a PV served a divergent STR
         return (
             f"validation formula {self.formula_text!r} unsatisfied "
             f"(valid proofs: {sorted(satisfied)})"
-        )
+        ), None
 
 
 def make_proof_provider(repository, validators: dict) -> Callable:

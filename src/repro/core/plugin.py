@@ -252,11 +252,11 @@ class Plugin:
     def effect_summaries(self):
         """Per-pluglet effect summaries (fields read/written, helpers,
         declared triggers) for the inter-plugin conflict analyzer.
-        Cached for the same reason as :meth:`analyze_all`."""
+        Cached, and computed from :meth:`analyze_all`'s reports."""
         if self._effects is None:
             from .api import HELPER_EFFECTS
 
-            self._effects = summarize_plugin(self, HELPER_EFFECTS)
+            self._effects = summarize_plugin(self, HELPER_EFFECTS, self.analyze_all())
         return self._effects
 
     def stats(self) -> dict:

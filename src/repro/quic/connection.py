@@ -813,6 +813,11 @@ class QuicConnection:
         epoch: Epoch = ctx["epoch"]
         path = self.paths[ctx["path_index"]]
         space = self.initial_space if epoch is Epoch.INITIAL else path.space
+        if frame.ranges.largest() >= space.next_packet_number:
+            # RFC 9000 §13.1: acknowledging a packet never sent is an
+            # optimistic ACK, a connection error.
+            raise TransportError(TransportErrorCode.PROTOCOL_VIOLATION,
+                                 "ACK of a packet that was never sent")
         self.stats["acks_received"] += 1
         result = space.on_ack_received(frame, self.now, path.rtt)
         # Together with packets_lost this closes the send-side ledger:
@@ -868,8 +873,7 @@ class QuicConnection:
 
     def _process_reset_stream_frame(self, frame: F.ResetStreamFrame, ctx: dict) -> None:
         self._get_or_create_streams(frame.stream_id)
-        stream = self.streams_recv[frame.stream_id]
-        stream.final_size = frame.final_size
+        self.streams_recv[frame.stream_id].set_final_size(frame.final_size)
         self.ops.stream_closed(self, frame.stream_id)
 
     def _process_new_connection_id(self, frame: F.NewConnectionIdFrame, ctx: dict) -> None:

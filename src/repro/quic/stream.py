@@ -184,11 +184,7 @@ class ReceiveStream:
                 f"stream {self.stream_id}: data beyond MAX_STREAM_DATA"
             )
         if fin:
-            if self.final_size is not None and self.final_size != end:
-                raise FinalSizeError("conflicting final sizes")
-            if self._received and self._received.largest() + 1 > end:
-                raise FinalSizeError("data received beyond final size")
-            self.final_size = end
+            self.set_final_size(end)
         elif self.final_size is not None and end > self.final_size:
             raise FinalSizeError("data received beyond final size")
         if data:
@@ -203,6 +199,15 @@ class ReceiveStream:
             self._received.add(offset, end)
             self._chunks[offset] = data
         return self.read()
+
+    def set_final_size(self, size: int) -> None:
+        """Fix the final size from a FIN or RESET_STREAM (RFC 9000 §4.5):
+        it may neither change once known nor fall below data received."""
+        if self.final_size is not None and self.final_size != size:
+            raise FinalSizeError("conflicting final sizes")
+        if self._received and self._received.largest() + 1 > size:
+            raise FinalSizeError("data received beyond final size")
+        self.final_size = size
 
     def read(self) -> bytes:
         """Drain contiguous bytes starting at the read offset."""

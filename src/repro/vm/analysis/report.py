@@ -20,6 +20,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .absint import CallSite
+
 
 class Severity(enum.Enum):
     """How bad a diagnostic is.
@@ -120,6 +122,8 @@ class AnalysisReport:
     helper_ids: Tuple[int, ...] = ()
     #: pcs of reachable instructions (empty when the CFG was not built).
     reachable: Tuple[int, ...] = ()
+    #: pc -> argument intervals at each CALL (the effect summaries' input).
+    call_sites: Dict[int, CallSite] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

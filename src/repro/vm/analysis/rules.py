@@ -313,6 +313,7 @@ def _facts(cfg: ControlFlowGraph, absint: AbstractInterpretation,
     report.loop_free = cfg.loop_free
     report.reachable = tuple(cfg.reachable_pcs())
     report.helper_ids = tuple(sorted(absint.helper_ids))
+    report.call_sites = absint.call_sites
 
     mem_facts: Dict[int, str] = {}
     all_proven = True

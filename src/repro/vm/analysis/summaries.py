@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple, Union
 
-from .absint import interpret
+from .absint import AbstractInterpretation, interpret
 from .cfg import ControlFlowGraph
+from .report import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa import Instruction
@@ -95,22 +96,26 @@ def summarize_pluglet(name: str,
                       effects: Mapping[int, HelperEffect],
                       heap_size: int = 16 * 1024,
                       param: Param = None,
-                      triggers: Tuple[str, ...] = ()) -> EffectSummary:
+                      triggers: Tuple[str, ...] = (),
+                      report: Optional[AnalysisReport] = None) -> EffectSummary:
     """Infer one pluglet's effect summary from its bytecode.
 
     ``effects`` is the host's helper-id -> :class:`HelperEffect` table;
     helpers absent from it are assumed effect-free on shared state
-    (they may still compute, allocate plugin memory, etc.)."""
-    program = list(instructions)
-    cfg = ControlFlowGraph(program)
-    absint = interpret(cfg, heap_size)
+    (they may still compute, allocate plugin memory, etc.).  A ``report``
+    of this program at ``heap_size`` that built a CFG is reused, not re-run."""
+    facts: Union[AnalysisReport, AbstractInterpretation]
+    if report is not None and report.reachable and report.heap_size == heap_size:
+        facts = report
+    else:
+        facts = interpret(ControlFlowGraph(list(instructions)), heap_size)
 
     reads: set = set()
     writes: set = set()
     unknown_reads = False
     unknown_writes = False
     calls_run_protoop = False
-    for site in absint.call_sites.values():
+    for site in facts.call_sites.values():
         effect = effects.get(site.helper_id)
         if effect is None:
             continue
@@ -138,17 +143,18 @@ def summarize_pluglet(name: str,
         fields_written=tuple(sorted(writes)),
         unknown_reads=unknown_reads,
         unknown_writes=unknown_writes,
-        helpers=tuple(sorted(absint.helper_ids)),
+        helpers=tuple(sorted(facts.helper_ids)),
         triggers=tuple(triggers),
         calls_run_protoop=calls_run_protoop,
     )
 
 
-def summarize_plugin(plugin: object,
-                     effects: Mapping[int, HelperEffect]) -> PluginEffects:
+def summarize_plugin(plugin: object, effects: Mapping[int, HelperEffect],
+                     reports: Optional[Mapping[str, AnalysisReport]] = None) -> PluginEffects:
     """Summarize every pluglet of a duck-typed plugin (``name``,
     ``memory_size``, ``pluglets`` with ``name``/``protoop``/``anchor``/
-    ``instructions`` and optional ``param``/``triggers``)."""
+    ``instructions`` and optional ``param``/``triggers``), reusing its
+    analyzer ``reports`` by pluglet name when given."""
     heap_size = int(getattr(plugin, "memory_size", 16 * 1024))
     summaries = []
     for pluglet in getattr(plugin, "pluglets", []):
@@ -161,6 +167,7 @@ def summarize_plugin(plugin: object,
             heap_size=heap_size,
             param=getattr(pluglet, "param", None),
             triggers=tuple(getattr(pluglet, "triggers", ()) or ()),
+            report=(reports or {}).get(pluglet.name),
         ))
     return PluginEffects(plugin=str(getattr(plugin, "name", "?")),
                          summaries=tuple(summaries))

@@ -4,9 +4,9 @@ The paper's PRE does not interpret pluglet bytecode: "our PRE monitors the
 correct operation of the pluglets by injecting specific instructions when
 their bytecode is JITed" (§2.1), and the low overheads of Table 3 depend on
 it.  This module mirrors that design point at the Python level: a verified
-program is translated *once* into a single specialized Python function —
-one function per pluglet — and the memory monitor plus fuel accounting are
-injected inline into the generated code as cheap local-variable
+program is translated into a specialized Python function — at most once
+per variant, and only when a run first needs it — and the memory monitor
+plus fuel accounting are injected inline into the generated code as cheap local-variable
 comparisons, exactly the "monitoring instructions" of the paper.
 
 Translation scheme
@@ -39,7 +39,7 @@ Proof-guided specialization
 
 When the static analyzer (:mod:`repro.vm.analysis`) proves facts about a
 program, ``compile_jit`` accepts its report as ``proof`` and emits a
-*second*, leaner closure:
+leaner variant of the closure:
 
 * a memory access proven to always land in one region loses the inlined
   two-region monitor and indexes the buffer directly;
@@ -51,13 +51,14 @@ program, ``compile_jit`` accepts its report as ``proof`` and emits a
 * likewise the helper-call budget check when ``helper_bound`` is proven.
 
 Eliding a budget check is only equivalent when the budget cannot be hit,
-so :class:`JitVirtualMachine` gates the specialized closure at run time:
-it is used only when ``instruction_budget >= fuel_bound`` and
+so :class:`JitVirtualMachine` picks the variant per run: the specialized
+closure when ``instruction_budget >= fuel_bound`` and
 ``helper_call_budget >= helper_bound`` (and the actual plugin memory is
-at least the size the proofs assumed); otherwise every run goes through
-the fully-checked closure.  Both closures flush fuel at identical
-program points, so counters and fault behaviour stay bit-identical
-either way.
+at least the size the proofs assumed), else the fully-checked one.  Both
+variants flush fuel at identical program points, so counters and fault
+behaviour stay bit-identical either way.  Compilation is lazy: a run
+compiles only the variant it selects, memoized on its VM (never shared
+across VMs), so a pluglet that never runs is never translated.
 
 The interpreter remains the reference semantics: anything ``compile_jit``
 does not cover raises :class:`JitError` and :class:`JitVirtualMachine`
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .interpreter import (
     DEFAULT_FUEL,
@@ -113,6 +114,8 @@ _M_LIT = str(WORD_MASK)  # 18446744073709551615
 _SIGN_LIT = str(1 << 63)
 _TWO64_LIT = str(1 << 64)
 _STACK_TOP = STACK_BASE + STACK_SIZE
+
+_UNCOMPILED = object()
 
 #: Programs larger than this fall back to the interpreter — keeps worst
 #: case translation time bounded (the verifier itself allows 65k).
@@ -551,6 +554,8 @@ class JitVirtualMachine(VirtualMachine):
     fails, ``run`` transparently falls back to the interpreter loop.
     """
 
+    execution_path = "jit"  # the path the last run took
+
     def __init__(
         self,
         instructions: list,
@@ -562,61 +567,53 @@ class JitVirtualMachine(VirtualMachine):
     ):
         super().__init__(instructions, plugin_memory, helpers,
                          instruction_budget, helper_call_budget)
-        try:
-            self.jit_function: Optional[Callable] = compile_jit(instructions)
-        except JitError:
-            self.jit_function = None
-        self._fast_function: Optional[Callable] = None
-        self._fuel_bound: Optional[int] = None
-        self._helper_bound: Optional[int] = None
-        if self.jit_function is not None and analysis is not None:
-            self._specialize(instructions, plugin_memory, analysis)
-
-    def _specialize(self, instructions: list,
-                    plugin_memory: PluginMemory, analysis: object) -> None:
-        """Compile the monitor-free variant when the proofs apply here."""
-        if not getattr(analysis, "ok", False):
-            return
-        if plugin_memory.size < getattr(analysis, "heap_size", 0):
-            # The heap in-bounds facts assumed a larger memory; dropping
-            # the monitor against this one would be unsound.
-            return
-        mem_facts = getattr(analysis, "mem_facts", None) or {}
+        #: specialized? -> closure, or None for the interpreter fallback.
+        self._closures: Dict[bool, Optional[Callable]] = {}
         fuel_bound = getattr(analysis, "fuel_bound", None)
         helper_bound = getattr(analysis, "helper_bound", None)
-        if not mem_facts and fuel_bound is None and helper_bound is None:
-            return  # the proof elides nothing; one closure is enough
-        try:
-            self._fast_function = compile_jit(instructions, proof=analysis)
-        except JitError:  # pragma: no cover - checked variant compiled
-            return
-        self._fuel_bound = fuel_bound
-        self._helper_bound = helper_bound
+        # The proof applies when the program was accepted, its heap facts
+        # hold for this (possibly smaller) memory, and it elides something.
+        applies = (getattr(analysis, "ok", False)
+                   and plugin_memory.size >= getattr(analysis, "heap_size", 0)
+                   and (bool(getattr(analysis, "mem_facts", None))
+                        or fuel_bound is not None or helper_bound is not None))
+        self._proof = analysis if applies else None
+        self._fuel_bound = fuel_bound or 0
+        self._helper_bound = helper_bound or 0
+
+    def closure(self, specialized: bool = False) -> Optional[Callable]:
+        """One variant's closure, translated on first request and then
+        memoized; None means the interpreter runs the program.  A
+        specialized variant that fails to translate is the checked one."""
+        fn = self._closures.get(specialized, _UNCOMPILED)
+        if fn is _UNCOMPILED:
+            try:
+                fn = compile_jit(self.instructions,
+                                 proof=self._proof if specialized else None)
+            except JitError:
+                fn = self.closure() if specialized else None
+            self._closures[specialized] = fn
+        return fn
 
     @property
     def jit_enabled(self) -> bool:
-        return self.jit_function is not None
+        """True when the program translates (may compile the checked one)."""
+        return self.closure() is not None
 
     @property
     def jit_specialized(self) -> bool:
-        """True when a proof-guided monitor-free closure was compiled."""
-        return self._fast_function is not None
-
-    @property
-    def execution_path(self) -> str:  # type: ignore[override]
-        """"jit" when runs go through the compiled closure, else the
-        interpreter fallback (profiling attribution)."""
-        return "jit" if self.jit_function is not None else "interpreter"
+        """True when the analyzer's proof applies here: runs within the
+        proven bounds take the monitor-free variant.  Compiles nothing."""
+        return self._proof is not None
 
     def run(self, *args: int) -> int:
-        fn = self.jit_function
-        fast = self._fast_function
-        if fast is not None \
-                and (self._fuel_bound is None
-                     or self.instruction_budget >= self._fuel_bound) \
-                and (self._helper_bound is None
-                     or self.helper_call_budget >= self._helper_bound):
-            fn = fast
+        specialized = (self._proof is not None
+                       and self.instruction_budget >= self._fuel_bound
+                       and self.helper_call_budget >= self._helper_bound)
+        fn = self._closures.get(specialized, _UNCOMPILED)
+        if fn is _UNCOMPILED:
+            fn = self.closure(specialized)
+        self.execution_path = "interpreter" if fn is None else "jit"
         if fn is None:
             return super().run(*args)
         if len(args) > 5:

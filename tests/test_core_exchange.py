@@ -265,6 +265,22 @@ class TestExchange:
         # Received plugins are NOT activated on this connection (§3.4).
         assert plugin.name not in client.conn.plugins
 
+    def test_received_plugin_decoded_once(self, monkeypatch):
+        plugin, repo, validators, trust = build_world()
+        decoded = []
+        original = Plugin.decompress.__func__
+
+        def counting(cls, data):
+            decoded.append(data)
+            return original(cls, data)
+
+        monkeypatch.setattr(Plugin, "decompress", classmethod(counting))
+        sim, client, exchanger, cache = connect_with_exchange(
+            plugin, repo, validators, trust, "PV1 & (PV2 | PV3)")
+        assert exchanger.received == [plugin.name]
+        assert decoded == [plugin.compressed()]
+        assert cache.get(plugin.name).serialize() == plugin.serialize()
+
     def test_cached_plugin_injected_immediately(self):
         plugin, repo, validators, trust = build_world()
         sim, client, exchanger, cache = connect_with_exchange(

@@ -364,3 +364,102 @@ def ClientEndpointStandalone():
     from repro.quic.connection import QuicConnection
 
     return QuicConnection(QuicConfiguration(is_client=True))
+
+
+class TestPeerViolations:
+    """Frames a hostile or broken peer may send end the connection with
+    the RFC 9000 error code."""
+
+    @staticmethod
+    def _conn():
+        from repro.quic.connection import QuicConnection
+
+        return QuicConnection(QuicConfiguration(is_client=True))
+
+    @pytest.mark.parametrize("epoch_name", ["INITIAL", "ONE_RTT"])
+    def test_optimistic_ack_is_protocol_violation(self, epoch_name):
+        from repro.errors import TransportError, TransportErrorCode
+        from repro.quic import frames as F
+        from repro.quic.packet import Epoch
+        from repro.quic.wire import RangeSet
+
+        epoch = Epoch[epoch_name]
+        conn = self._conn()
+        space = (conn.initial_space if epoch is Epoch.INITIAL
+                 else conn.paths[0].space)
+        for _ in range(3):  # packets 0-2 exist; 3 was never sent
+            space.take_packet_number()
+        process = conn.ops.process_frame[F.ACK]
+        ctx = {"epoch": epoch, "path_index": 0}
+        with pytest.raises(TransportError) as exc:
+            process(conn, F.AckFrame(ranges=RangeSet([range(0, 4)])), ctx)
+        assert exc.value.code == TransportErrorCode.PROTOCOL_VIOLATION
+        assert space.largest_acked == -1
+        process(conn, F.AckFrame(ranges=RangeSet([range(0, 3)])), ctx)
+        assert space.largest_acked == 2
+
+    def test_optimistic_ack_closes_established_connection(self):
+        from repro.errors import TransportErrorCode
+
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=10, bw_mbps=10)
+        client, server = build_pair(sim, topo)
+        server_conns = []
+        server.on_connection = server_conns.append
+        client.connect()
+        assert sim.run_until(lambda: client.conn.is_established, timeout=5)
+        # The client claims a packet far beyond anything the server sent,
+        # so its next ACK acknowledges the unsent packet.
+        client.conn.paths[0].space.record_received(10_000, sim.now, True)
+        sid = client.conn.create_stream()
+        client.conn.send_stream_data(sid, b"x" * 100, fin=True)
+        client.pump()
+        (conn,) = server_conns
+        assert sim.run_until(lambda: conn.close_error is not None, timeout=5)
+        assert conn.close_error[0] == TransportErrorCode.PROTOCOL_VIOLATION
+        assert conn.paths[0].space.largest_acked < 10_000
+
+    def _reset(self, conn, final_size):
+        from repro.quic import frames as F
+
+        frame = F.ResetStreamFrame(stream_id=1, error_code=0,
+                                   final_size=final_size)
+        conn.ops.process_frame[F.RESET_STREAM](conn, frame, {})
+
+    def _stream(self, conn, offset, data, fin):
+        from repro.quic import frames as F
+
+        frame = F.StreamFrame(stream_id=1, offset=offset, data=data, fin=fin)
+        conn.ops.process_frame["stream"](conn, frame, {})
+
+    def test_reset_changing_known_final_size_is_error(self):
+        from repro.errors import TransportError, TransportErrorCode
+
+        conn = self._conn()
+        self._stream(conn, 0, b"abc", fin=True)
+        with pytest.raises(TransportError) as exc:
+            self._reset(conn, 5)
+        assert exc.value.code == TransportErrorCode.FINAL_SIZE_ERROR
+        assert conn.streams_recv[1].final_size == 3
+        self._reset(conn, 3)  # the same final size is accepted
+
+    def test_reset_below_received_offset_is_error(self):
+        from repro.errors import TransportError, TransportErrorCode
+
+        conn = self._conn()
+        self._stream(conn, 0, b"abcdef", fin=False)
+        with pytest.raises(TransportError) as exc:
+            self._reset(conn, 4)
+        assert exc.value.code == TransportErrorCode.FINAL_SIZE_ERROR
+        assert conn.streams_recv[1].final_size is None
+        self._reset(conn, 6)
+        assert conn.streams_recv[1].final_size == 6
+
+    def test_second_reset_with_other_final_size_is_error(self):
+        from repro.errors import TransportError, TransportErrorCode
+
+        conn = self._conn()
+        self._reset(conn, 10)
+        with pytest.raises(TransportError) as exc:
+            self._reset(conn, 11)
+        assert exc.value.code == TransportErrorCode.FINAL_SIZE_ERROR

@@ -116,6 +116,56 @@ class TestEffectSummaries:
         assert plugin.effect_summaries() is plugin.effect_summaries()
 
 
+def _shipped_and_corpus_plugins():
+    from pathlib import Path
+
+    from repro.cli import BUILTIN_PLUGINS, _load_plugin_set_file
+
+    cases = [(name, build) for name, build in sorted(BUILTIN_PLUGINS.items())]
+    pairs = Path(__file__).parent / "corpus" / "pairs"
+    for path in sorted(pairs.glob("*.json")):
+        cases.append((path.stem, lambda path=path: _load_plugin_set_file(path)))
+    return cases
+
+
+SHIPPED_AND_CORPUS = _shipped_and_corpus_plugins()
+
+
+class TestSharedInterpretation:
+    """``Plugin.effect_summaries`` reuses the abstract interpretation
+    ``analyze_all`` already ran instead of interpreting every pluglet a
+    second time; the result must equal the standalone summaries."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in SHIPPED_AND_CORPUS],
+        ids=[n for n, _ in SHIPPED_AND_CORPUS])
+    def test_shared_reports_match_standalone(self, build, monkeypatch):
+        from repro.vm.analysis import summaries
+
+        built = build()
+        plugins = built if isinstance(built, list) else [built]
+        for plugin in plugins:
+            standalone = summarize_plugin(plugin, HELPER_EFFECTS)
+            plugin.analyze_all()
+
+            def no_second_pass(cfg, heap_size):
+                raise AssertionError("effect summaries re-interpreted")
+
+            monkeypatch.setattr(summaries, "interpret", no_second_pass)
+            assert plugin.effect_summaries() == standalone
+            monkeypatch.undo()
+
+    def test_report_without_cfg_interprets_on_its_own(self):
+        program = assemble("mov r1, 7\ncall 1\nexit")
+        report = analyze(program, max_instructions=2)  # PRE002: no CFG
+        assert not report.reachable
+        summary = summarize_pluglet("p", "op", "post", program,
+                                    HELPER_EFFECTS, report=report)
+        assert summary == summarize_pluglet("p", "op", "post", program,
+                                            HELPER_EFFECTS)
+        assert summary.fields_read == (7,)
+
+
 # --- conflict catalog --------------------------------------------------------
 
 class TestConflictCatalog:
@@ -311,7 +361,7 @@ class TestFuelCertificates:
         vm = JitVirtualMachine(program, PluginMemory(size=64),
                                instruction_budget=10_000, analysis=report)
         assert vm.jit_specialized
-        fast = vm._fast_function.source
+        fast = vm.closure(specialized=True).source
         assert "raise _FuelExhausted" not in fast
         assert "_fuel -=" in fast  # accounting stays exact
         ref = JitVirtualMachine(program, PluginMemory(size=64),
@@ -324,7 +374,7 @@ class TestFuelCertificates:
         report = analyze(program, heap_size=64)
         vm = JitVirtualMachine(program, PluginMemory(size=64),
                                instruction_budget=10, analysis=report)
-        assert vm.jit_specialized  # compiled, but gated per run
+        assert vm.jit_specialized  # the proof applies, but gated per run
         with pytest.raises(FuelExhausted, match="10 instructions"):
             vm.run()
         assert vm.instructions_executed == 10

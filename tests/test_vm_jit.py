@@ -156,14 +156,14 @@ def _make_helpers(log):
     return {1: h_sum, 7: h_void}
 
 
-def _observe(vm_cls, program, budget, runs, analysis=None):
+def _observe(vm_cls, program, budget, runs, analysis=None, expect_jit=True):
     """Run ``program`` and capture everything observable from outside."""
     mem = PluginMemory(size=HEAP_SIZE)
     log = []
     kwargs = {"analysis": analysis} if analysis is not None else {}
     vm = vm_cls(program, mem, helpers=_make_helpers(log),
                 instruction_budget=budget, helper_call_budget=8, **kwargs)
-    if vm_cls is JitVirtualMachine:
+    if vm_cls is JitVirtualMachine and expect_jit:
         assert vm.jit_enabled, "generated program unexpectedly fell back"
     trace = []
     for args in runs:
@@ -415,8 +415,8 @@ class TestProofGuided:
         report = analyze(program, heap_size=HEAP_SIZE)
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
                                analysis=report)
-        fast = vm._fast_function.source
-        checked = vm.jit_function.source
+        fast = vm.closure(specialized=True).source
+        checked = vm.closure().source
         assert "raise _FuelExhausted" in checked
         assert "raise _FuelExhausted" not in fast
         assert "_MemoryViolation" in checked
@@ -429,7 +429,7 @@ class TestProofGuided:
         assert report.fuel_bound == 3
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
                                instruction_budget=2, analysis=report)
-        assert vm.jit_specialized  # compiled, but gated per run
+        assert vm.jit_specialized  # the proof applies, but gated per run
         with pytest.raises(FuelExhausted, match="2 instructions"):
             vm.run()
         assert vm.instructions_executed == 2  # same charge as interpreter
@@ -471,3 +471,131 @@ class TestProofGuided:
                        analysis=report)
         assert vm.jit_specialized
         assert vm.run() == 42
+
+
+# --- lazy single-variant compilation -----------------------------------------
+
+PROVEN_PROGRAM = (f"lddw r6, {HEAP_BASE}\nstdw [r6+0], 7\n"
+                  "ldxdw r0, [r6+0]\nexit")
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Record every ``compile_jit`` call as "specialized" or "checked"."""
+    from repro.vm import jit
+
+    calls = []
+    original = jit.compile_jit
+
+    def counting(instructions, proof=None):
+        calls.append("checked" if proof is None else "specialized")
+        return original(instructions, proof=proof)
+
+    monkeypatch.setattr(jit, "compile_jit", counting)
+    return calls
+
+
+class TestLazyCompilation:
+    def test_vm_that_never_runs_compiles_nothing(self, compiles):
+        program = assemble(PROVEN_PROGRAM)
+        report = analyze(program, heap_size=HEAP_SIZE)
+        vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
+                               analysis=report)
+        plain = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE))
+        assert vm.jit_specialized and not plain.jit_specialized
+        assert vm.execution_path == plain.execution_path == "jit"
+        assert compiles == []
+
+    def test_first_run_compiles_the_selected_variant_once(self, compiles):
+        program = assemble(PROVEN_PROGRAM)
+        report = analyze(program, heap_size=HEAP_SIZE)
+        vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
+                               analysis=report)
+        for _ in range(5):
+            assert vm.run() == 7
+        assert compiles == ["specialized"]
+        assert vm.execution_path == "jit"
+
+    def test_budget_below_bound_compiles_only_checked(self, compiles):
+        program = assemble("mov r0, 1\nadd r0, 2\nexit")
+        report = analyze(program, heap_size=HEAP_SIZE)
+        assert report.fuel_bound == 3
+        vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
+                               instruction_budget=2, analysis=report)
+        for _ in range(3):
+            with pytest.raises(FuelExhausted, match="2 instructions"):
+                vm.run()
+        assert compiles == ["checked"]
+        # Raising the budget over the bound selects (and compiles) the
+        # specialized variant on the next run only.
+        vm.instruction_budget = 3
+        assert vm.run() == 3
+        assert compiles == ["checked", "specialized"]
+
+    @pytest.mark.parametrize("with_proof", [False, True])
+    def test_jit_error_on_first_run_falls_back_identically(
+            self, monkeypatch, with_proof):
+        from repro.vm import jit
+
+        def untranslatable(instructions, proof=None):
+            raise JitError("forced")
+
+        monkeypatch.setattr(jit, "compile_jit", untranslatable)
+        program = assemble(
+            f"lddw r6, {HEAP_BASE}\nldxdw r0, [r6+0]\nadd r0, r1\n"
+            "stxdw [r6+0], r0\nldxdw r2, [r1+0]\nexit")
+        report = analyze(program, heap_size=HEAP_SIZE) if with_proof else None
+        runs = ((5,), (0,), (HEAP_BASE,), (9,))
+        for budget in (3, 64):
+            ref = _observe(VirtualMachine, program, budget, runs)
+            got = _observe(JitVirtualMachine, program, budget, runs,
+                           analysis=report, expect_jit=False)
+            assert got == ref
+        vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
+                               analysis=report)
+        assert vm.run(HEAP_BASE) == HEAP_BASE
+        assert vm.execution_path == "interpreter"
+        assert not vm.jit_enabled
+
+    def test_specialized_jit_error_uses_checked_closure(self, monkeypatch,
+                                                        compiles):
+        from repro.vm import jit
+
+        counting = jit.compile_jit
+
+        def no_specialized(instructions, proof=None):
+            result = counting(instructions, proof=proof)
+            if proof is not None:
+                raise JitError("forced")
+            return result
+
+        monkeypatch.setattr(jit, "compile_jit", no_specialized)
+        program = assemble(PROVEN_PROGRAM)
+        report = analyze(program, heap_size=HEAP_SIZE)
+        vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
+                               analysis=report)
+        assert vm.run() == 7 and vm.run() == 7
+        assert vm.execution_path == "jit"
+        assert compiles == ["specialized", "checked"]
+        assert vm.closure(specialized=True) is vm.closure()
+
+    def test_profiled_pluglet_compiles_once(self, monkeypatch, compiles):
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        from repro.core import Plugin, PluginInstance, Pluglet
+        from repro.quic import QuicConfiguration
+        from repro.quic.connection import QuicConnection
+        from repro.trace import PreProfiler
+
+        conn = QuicConnection(QuicConfiguration(is_client=True))
+        profiler = PreProfiler().attach(conn)
+        pluglet = Pluglet("count", "packet_sent_event", "post",
+                          assemble("mov r0, 1\nadd r0, 2\nexit"))
+        idle = Pluglet("idle", "packet_lost_event", "post",
+                       assemble("mov r0, 0\nexit"))
+        inst = PluginInstance(Plugin("org.test.lazy", [pluglet, idle]), conn)
+        assert compiles == []
+        for _ in range(6):
+            inst.invoke(pluglet, (), writable=False)
+        assert compiles == ["specialized"]
+        (row,) = profiler.records.values()
+        assert row.jit_runs == 6 and row.interp_runs == 0

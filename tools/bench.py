@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -628,19 +629,24 @@ def _goodput_transfer(size: int, batch: bool) -> dict:
                                 "server.0", 443)
         PluginInstance(build_monitoring_plugin(), client.conn).attach()
 
-        # Establish first (the server's plugin attaches — and JIT-compiles
-        # — at accept time): goodput times the bulk phase only, so that
-        # fixed setup cost common to both modes does not dilute the ratio.
+        # Establish and warm up first: goodput times the bulk phase only,
+        # so that fixed setup cost common to both modes does not dilute
+        # the ratio.  That includes JIT compilation, which happens on a
+        # pluglet's first invocation; the warm-up transfer runs the
+        # per-packet pluglets once.
         client.connect()
         assert sim.run_until(lambda: client.conn.is_established, timeout=10)
 
-        def bulk():
+        def transfer(n):
+            received.clear()
+            done[0] = False
             sid = client.conn.create_stream()
-            client.conn.send_stream_data(sid, b"g" * size, fin=True)
+            client.conn.send_stream_data(sid, b"g" * n, fin=True)
             client.pump()
             assert sim.run_until(lambda: done[0], timeout=600)
 
-        t, _ = _time(bulk)
+        transfer(20_000)
+        t, _ = _time(transfer, size)
         assert len(received) == size
         assert client.conn._batch is batch
         return {"wall_s": t, "sim_s": sim.now,
@@ -657,12 +663,17 @@ def bench_goodput(quick: bool) -> dict:
     100 ms RTT, 0.5 %-loss bottleneck, with the GSO/GRO + zero-copy
     datapath on (default) and off (``REPRO_BATCH=0``).  Identical seeded
     topology, identical payload; the gated ``goodput_batch_speedup`` is
-    the wall-clock ratio (``--check`` enforces ``MIN_GOODPUT_SPEEDUP``)."""
+    the median wall-clock ratio of three interleaved batched/unbatched
+    pairs, so one noisy sample cannot fail ``--check`` (which enforces
+    ``MIN_GOODPUT_SPEEDUP``)."""
     size = 300_000 if quick else 2_000_000
-    batched = _goodput_transfer(size, batch=True)
-    legacy = _goodput_transfer(size, batch=False)
-    assert batched["events_coalesced"] > 0  # GSO actually engaged
-    assert legacy["events_coalesced"] == 0  # kill switch really off
+    pairs = [(_goodput_transfer(size, batch=True),
+              _goodput_transfer(size, batch=False)) for _ in range(3)]
+    for batched, legacy in pairs:
+        assert batched["events_coalesced"] > 0  # GSO actually engaged
+        assert legacy["events_coalesced"] == 0  # kill switch really off
+    batched_s = statistics.median(b["wall_s"] for b, _ in pairs)
+    legacy_s = statistics.median(u["wall_s"] for _, u in pairs)
     # The absolute coalesce count scales with the payload, so it is
     # printed rather than gated (a quick CI run would trip a count gate
     # against the full-run baseline).
@@ -670,12 +681,10 @@ def bench_goodput(quick: bool) -> dict:
           f" coalesced; sim-time {batched['sim_s']:.2f}s batched vs"
           f" {legacy['sim_s']:.2f}s unbatched")
     return {
-        "goodput_batched_bytes_per_sec":
-            (size / batched["wall_s"], "B/s"),
-        "goodput_unbatched_bytes_per_sec":
-            (size / legacy["wall_s"], "B/s"),
-        "goodput_batch_speedup":
-            (legacy["wall_s"] / batched["wall_s"], "x"),
+        "goodput_batched_bytes_per_sec": (size / batched_s, "B/s"),
+        "goodput_unbatched_bytes_per_sec": (size / legacy_s, "B/s"),
+        "goodput_batch_speedup": (statistics.median(
+            u["wall_s"] / b["wall_s"] for b, u in pairs), "x"),
     }
 
 
