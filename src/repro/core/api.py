@@ -22,11 +22,13 @@ Times are marshaled as microseconds; floats never enter the VM.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import TransportError, TransportErrorCode
 from repro.vm.analysis import HelperEffect
 from repro.vm.interpreter import MemoryViolation
+from repro.vm.isa import WORD_MASK
+from repro.vm.jit import stack_free
 
 # Helper ids (CALL immediates).
 H_GET = 1
@@ -219,28 +221,32 @@ class ApiViolation(TransportError):
 class InvocationContext:
     """Per-invocation state shared between the wrapper and the helpers."""
 
+    __slots__ = ("raw_args", "writable")
+
     def __init__(self, args: tuple, writable: bool):
         self.raw_args = args
         self.writable = writable
-        #: Marshaled scalar views of the args (objects become handles).
-        self.handles: list[Any] = list(args)
 
-    def marshal(self, index: int) -> int:
-        if not 0 <= index < len(self.raw_args):
-            return 0
-        value = self.raw_args[index]
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value & ((1 << 64) - 1)
-        if isinstance(value, float):
-            return _us(value) & ((1 << 64) - 1)
-        if value is None:
-            return 0
-        # Objects (frames, packets, byte strings) are referenced by their
-        # argument index: an opaque handle the pluglet can pass back to
-        # helpers, never a raw pointer.
-        return index
+
+def marshal(args: tuple, start: int = 0, stop: int = 5) -> list:
+    """The scalars a pluglet sees for ``args[start:stop]``: ints masked,
+    floats in µs, None 0; objects (frames, packets, bytes) become their
+    index, an opaque handle the pluglet passes back to helpers."""
+    out = []
+    index = start
+    for value in args[start:stop]:
+        if type(value) is int:
+            out.append(value & WORD_MASK)
+        elif value is None:
+            out.append(0)
+        elif isinstance(value, int):
+            out.append(value & WORD_MASK)
+        elif isinstance(value, float):
+            out.append(_us(value) & WORD_MASK)
+        else:
+            out.append(index)
+        index += 1
+    return out
 
 
 class PluginApi:
@@ -279,12 +285,14 @@ class PluginApi:
             raise ApiViolation(f"unknown field id 0x{field_id:x}")
         return spec
 
+    @stack_free
     def _h_get(self, vm, field_id, index, *_):
         spec = self._field(field_id)
         self.runtime.record_access(spec.name, write=False)
         self.runtime.check_policy(spec.name, write=False)
         return spec.getter(self.runtime.conn, index)
 
+    @stack_free
     def _h_set(self, vm, field_id, index, value, *_):
         spec = self._field(field_id)
         ctx = self.runtime.context
@@ -301,13 +309,16 @@ class PluginApi:
 
     # --- plugin memory -----------------------------------------------------
 
+    @stack_free
     def _h_malloc(self, vm, size, *_):
         return self.runtime.allocator.malloc(size)
 
+    @stack_free
     def _h_free(self, vm, address, *_):
         self.runtime.allocator.free(address)
         return 0
 
+    @stack_free
     def _h_opaque(self, vm, oid, size, *_):
         return self.runtime.opaque_data(oid, size)
 
@@ -330,6 +341,7 @@ class PluginApi:
 
     # --- protocol operations -------------------------------------------------
 
+    @stack_free
     def _h_run_protoop(self, vm, op_id, param, nargs, a1, a2):
         """plugin_run_protoop(op_id, param, nargs, a1, a2): the bytecode
         states how many arguments the operation takes (0-2)."""
@@ -347,18 +359,21 @@ class PluginApi:
             return _us(result)
         return 0
 
+    @stack_free
     def _h_reserve_frame(self, vm, ctor_id, a1, a2, a3, a4):
         ctx = self.runtime.context
         return self.runtime.reserve_frame(ctor_id, (a1, a2, a3, a4))
 
     # --- invocation arguments -----------------------------------------------
 
+    @stack_free
     def _h_get_input(self, vm, index, *_):
         ctx = self.runtime.context
-        if ctx is None:
+        if ctx is None or not 0 <= index < len(ctx.raw_args):
             return 0
-        return ctx.marshal(index)
+        return marshal(ctx.raw_args, index, index + 1)[0]
 
+    @stack_free
     def _h_input_len(self, vm, index, *_):
         ctx = self.runtime.context
         if ctx is None or not 0 <= index < len(ctx.raw_args):
@@ -409,5 +424,6 @@ class PluginApi:
         self.runtime.conn.push_message_to_app(self.runtime.plugin_name, data)
         return 0
 
+    @stack_free
     def _h_time(self, vm, *_):
         return _us(self.runtime.conn.now)

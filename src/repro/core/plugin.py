@@ -41,9 +41,9 @@ from repro.vm.interpreter import (
 )
 from repro.vm.isa import decode_program, encode_program
 from repro.vm.jit import create_vm
-from repro.vm.analysis import VerificationError, verify
+from repro.vm.analysis import VerificationError, check_report, verify
 
-from .api import CORE_HELPER_NAMES, ApiViolation, InvocationContext, PluginApi
+from .api import CORE_HELPER_NAMES, ApiViolation, InvocationContext, PluginApi, marshal
 from .memory import BlockAllocator
 from .protoop import Anchor, ProtoopError
 
@@ -148,6 +148,13 @@ class Plugin:
                  host_helpers: Optional[Callable] = None,
                  frame_registrar: Optional[Callable] = None):
         self.name = name  # globally unique, e.g. "org.pquic.monitoring"
+        # VMs, analysis reports and effect summaries are keyed by pluglet
+        # name, so a repeated name would silently run another's bytecode.
+        seen: set = set()
+        for p in pluglets:
+            if p.name in seen:
+                raise ValueError(f"plugin {name}: duplicate pluglet name {p.name!r}")
+            seen.add(p.name)
         self.pluglets = pluglets
         self.memory_size = memory_size
         #: Optional factory: (runtime) -> {helper_id: callable}. The host-
@@ -158,6 +165,7 @@ class Plugin:
         self.frame_registrar = frame_registrar
         self._analysis: Optional[dict] = None
         self._effects = None
+        self._verified = False
 
     # --- serialization (the §3.1 binding) -------------------------------
 
@@ -231,14 +239,23 @@ class Plugin:
     def verify_all(self) -> None:
         """Static verification of every pluglet; §2.1: "A plugin is
         rejected if any of the above checks fails for one of its
-        pluglets."""
+        pluglets."  Runs once per plugin: when :meth:`analyze_all` has
+        run, the verdict comes from its reports, which hold the §2.1
+        diagnostics; otherwise the legacy checks run."""
+        if self._verified:
+            return
+        reports = self._analysis
         for p in self.pluglets:
             try:
-                verify(p.instructions)
+                if reports is None:
+                    verify(p.instructions)
+                else:
+                    check_report(reports[p.name])
             except VerificationError as exc:
                 raise VerificationError(
                     f"plugin {self.name}: pluglet {p.name}: {exc}"
                 )
+        self._verified = True
 
     def analyze_all(self) -> dict:
         """Static-analyzer reports for every pluglet, keyed by pluglet
@@ -358,6 +375,12 @@ class PluginInstance:
     """A plugin instantiated on one connection: PREs + wrappers + heap."""
 
     def __init__(self, plugin: Plugin, conn):
+        #: Static-analysis reports per pluglet — drives proof-guided JIT
+        #: specialization and the ``plugin_analyzed`` event; empty when
+        #: ``REPRO_ANALYSIS=0``.  Built first, so verification reads them.
+        self.analysis_reports: dict = (
+            plugin.analyze_all() if analysis_enabled_by_env() else {}
+        )
         plugin.verify_all()
         self.plugin = plugin
         self.conn = conn
@@ -366,12 +389,6 @@ class PluginInstance:
         helper_table = api.helper_table()
         self.vms: dict[str, VirtualMachine] = {}
         self._attached: list = []  # (protoop, anchor, func, param)
-        #: Static-analysis reports per pluglet — drives proof-guided JIT
-        #: specialization and the ``plugin_analyzed`` event; empty when
-        #: ``REPRO_ANALYSIS=0``.
-        self.analysis_reports: dict = (
-            plugin.analyze_all() if analysis_enabled_by_env() else {}
-        )
         for p in plugin.pluglets:
             # JIT-compiled PRE with automatic interpreter fallback (the
             # paper JITs pluglet bytecode; see repro/vm/jit.py).  Proofs
@@ -414,19 +431,18 @@ class PluginInstance:
 
     def invoke(self, pluglet: Pluglet, args: tuple, writable: bool) -> Any:
         vm = self.vms[pluglet.name]
-        ctx = InvocationContext(args, writable)
-        previous = self.runtime.context
-        previous_result = self.runtime.pending_result
-        self.runtime.context = ctx
-        self.runtime.pending_result = _NO_RESULT
+        runtime = self.runtime
+        previous = runtime.context
+        previous_result = runtime.pending_result
+        runtime.context = InvocationContext(args, writable)
+        runtime.pending_result = _NO_RESULT
         try:
-            marshaled = [ctx.marshal(i) for i in range(min(5, len(args)))]
             if self._profiler is None:
-                value = vm.run(*marshaled)
+                value = vm.run(*marshal(args))
             else:
-                value = self._run_profiled(vm, pluglet, marshaled)
-            if self.runtime.pending_result is not _NO_RESULT:
-                return self.runtime.pending_result
+                value = self._run_profiled(vm, pluglet, marshal(args))
+            if runtime.pending_result is not _NO_RESULT:
+                return runtime.pending_result
             return value
         except (MemoryViolation, ExecutionError, ApiViolation,
                 ProtoopError) as exc:
@@ -447,8 +463,8 @@ class PluginInstance:
                 f"plugin {self.plugin.name}: pluglet {pluglet.name}: {exc}",
             )
         finally:
-            self.runtime.context = previous
-            self.runtime.pending_result = previous_result
+            runtime.context = previous
+            runtime.pending_result = previous_result
 
     def _on_runtime_failure(self, exc: Exception) -> None:
         """§2.1: any violation of memory safety results in the removal of
@@ -578,7 +594,7 @@ class PluginInstance:
 
     def _make_post(self, pluglet: Pluglet) -> Callable:
         def run_post(conn, args, result):
-            self.invoke(pluglet, tuple(args) + (result,), writable=False)
+            self.invoke(pluglet, (*args, result), writable=False)
 
         run_post.pluglet = pluglet  # type: ignore[attr-defined]
         return run_post

@@ -844,11 +844,8 @@ class QuicConnection:
         if readable:
             self.ops.crypto_data_received(self, readable)
 
-    def _process_stream_frame(self, frame: F.StreamFrame, ctx: dict) -> None:
-        stream = self.ops.get_receive_stream(self, frame.stream_id)
-        before = stream.bytes_received
-        readable = stream.receive(frame.offset, frame.data, frame.fin)
-        newly = stream.bytes_received - before
+    def _charge_flow(self, newly: int) -> None:
+        """Charge newly consumed credit to connection flow control."""
         if newly > 0:
             self.data_received += newly
             if self.data_received > self.max_data_local:
@@ -856,6 +853,12 @@ class QuicConnection:
                     TransportErrorCode.FLOW_CONTROL_ERROR,
                     "connection flow control exceeded",
                 )
+
+    def _process_stream_frame(self, frame: F.StreamFrame, ctx: dict) -> None:
+        stream = self.ops.get_receive_stream(self, frame.stream_id)
+        before = stream.flow_charge
+        readable = stream.receive(frame.offset, frame.data, frame.fin)
+        self._charge_flow(stream.flow_charge - before)
         # A retransmitted FIN is reported to the application only once.
         fin = stream.is_finished and not stream.fin_delivered
         if fin:
@@ -873,7 +876,13 @@ class QuicConnection:
 
     def _process_reset_stream_frame(self, frame: F.ResetStreamFrame, ctx: dict) -> None:
         self._get_or_create_streams(frame.stream_id)
-        self.streams_recv[frame.stream_id].set_final_size(frame.final_size)
+        stream = self.streams_recv[frame.stream_id]
+        before = stream.flow_charge
+        stream.set_final_size(frame.final_size)
+        # The final size is the stream's whole charge (RFC 9000 §4.5);
+        # later STREAM data on it charges nothing more.
+        self._charge_flow(stream.flow_charge - before)
+        self.ops.update_flow_credit(self)
         self.ops.stream_closed(self, frame.stream_id)
 
     def _process_new_connection_id(self, frame: F.NewConnectionIdFrame, ctx: dict) -> None:

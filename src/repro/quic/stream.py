@@ -202,7 +202,12 @@ class ReceiveStream:
 
     def set_final_size(self, size: int) -> None:
         """Fix the final size from a FIN or RESET_STREAM (RFC 9000 §4.5):
-        it may neither change once known nor fall below data received."""
+        it may neither change once known nor fall below data received,
+        and must fit the advertised MAX_STREAM_DATA."""
+        if size > self.max_stream_data:
+            raise FlowControlError(
+                f"stream {self.stream_id}: final size beyond MAX_STREAM_DATA"
+            )
         if self.final_size is not None and self.final_size != size:
             raise FinalSizeError("conflicting final sizes")
         if self._received and self._received.largest() + 1 > size:
@@ -240,6 +245,13 @@ class ReceiveStream:
     @property
     def bytes_received(self) -> int:
         return self._received.largest() + 1 if self._received else 0
+
+    @property
+    def flow_charge(self) -> int:
+        """Connection-level credit this stream consumes: its final size
+        once known (RFC 9000 §4.5), else the highest offset received."""
+        return self.final_size if self.final_size is not None \
+            else self.bytes_received
 
     def grant_credit(self, window: int) -> int:
         """Advance the flow-control limit to read_offset + window.

@@ -44,7 +44,7 @@ from .summaries import (
     summarize_plugin,
     summarize_pluglet,
 )
-from .verify import VerificationError, verify, verify_bytecode
+from .verify import VerificationError, check_report, verify, verify_bytecode
 
 __all__ = [
     "AbsState",
@@ -75,6 +75,7 @@ __all__ = [
     "certify",
     "check_conflicts",
     "check_plugin_set",
+    "check_report",
     "interpret",
     "lint_plugin",
     "summarize_plugin",

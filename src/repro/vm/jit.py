@@ -24,15 +24,26 @@ Translation scheme
 * Frame-pointer-relative accesses (the common case for compiled pluglets)
   have their bounds check folded away at translation time; other accesses
   get the two-region monitor check inlined as two chained comparisons.
-* Fuel is accounted in *batches*: pure register-only instructions
-  accumulate a pending count which is flushed — ``_fuel -= k`` plus one
-  comparison — before any instruction whose effects are observable from
-  outside the register file (memory, helpers, division faults, exit) and
-  at every block boundary.  At any observable event the charged total is
-  exactly the interpreter's count, so results, cumulative counters and
-  fault classes are bit-identical to :class:`~repro.vm.interpreter.
-  VirtualMachine` (the differential suite in ``tests/test_vm_jit.py``
-  enforces this).
+* Stack slots live in Python locals: an 8-byte, 8-aligned frame-pointer
+  slot that no other constant-offset access (of another width or offset)
+  overlaps becomes a local ``_sN``, initialised to 0 like the fresh
+  stack.  Slots are written back to ``stack`` only where something else
+  can observe or change it, and reloaded after: around a call to a helper
+  function not declared :func:`stack_free` (tested on the function
+  actually called), and around the run-time stack branch of a
+  register-addressed access or an access proven to hit the stack.
+* Fuel is accounted in *batches*: instructions that cannot fault and
+  touch only registers or the frame (pure ALU ops, in-bounds
+  frame-pointer accesses) accumulate a pending count which is flushed —
+  ``_fuel -= k`` plus one comparison — before any instruction whose
+  effects are observable from outside (other memory accesses, helpers,
+  division faults, exit) and at every block boundary.  At any observable
+  event the charged total is exactly the interpreter's count, so
+  results, cumulative counters and fault classes are bit-identical to
+  :class:`~repro.vm.interpreter.VirtualMachine` (the differential suite
+  in ``tests/test_vm_jit.py`` enforces this).
+* The closure owns its frame: it masks its arguments, allocates the
+  stack, sets ``vm.current_stack`` and charges the VM's counters.
 
 Proof-guided specialization
 ===========================
@@ -70,7 +81,8 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, Dict, List, Optional
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .interpreter import (
     DEFAULT_FUEL,
@@ -92,10 +104,10 @@ from .isa import (
     JMP_REG_OPS,
     JUMP_OPS,
     LOAD_OPS,
+    MEM_OPS,
     MEM_SIZES,
     NUM_REGISTERS,
     STACK_SIZE,
-    STORE_IMM_OPS,
     STORE_REG_OPS,
     WORD_MASK,
     Op,
@@ -107,6 +119,7 @@ __all__ = [
     "JitVirtualMachine",
     "create_vm",
     "jit_enabled_by_env",
+    "stack_free",
 ]
 
 _M = WORD_MASK
@@ -144,7 +157,7 @@ _CMP = {
 }
 
 _EXEC_GLOBALS = {
-    "__builtins__": {},
+    "__builtins__": {"getattr": getattr, "bytearray": bytearray},
     "_ExecutionError": ExecutionError,
     "_FuelExhausted": FuelExhausted,
     "_MemoryViolation": MemoryViolation,
@@ -155,6 +168,26 @@ _EXEC_GLOBALS = {
     "_p4": struct.Struct("<I").pack_into,
     "_p8": struct.Struct("<Q").pack_into,
 }
+
+
+def stack_free(helper: Callable) -> Callable:
+    """Declare that ``helper`` never touches ``vm.current_stack``: JIT code
+    keeps its stack slots in locals across the call (else it spills)."""
+    helper.stack_free = True  # type: ignore[attr-defined]
+    return helper
+
+
+def _slot_moves(slots: List[int], namespace: dict) -> Tuple[str, str]:
+    """One-line spill and fill statements for the register-resident
+    slots; each run of contiguous slots moves with one struct call."""
+    spill, fill = [], []
+    for _, group in groupby(enumerate(slots), lambda p: p[1] - 8 * p[0]):
+        run = [index for _, index in group]
+        names = ", ".join(f"_s{index}" for index in run)
+        namespace[f"_q{len(run)}"] = struct.Struct(f"<{len(run)}Q")
+        spill.append(f"_q{len(run)}.pack_into(stack, {run[0]}, {names})")
+        fill.append(f"{names}, = _q{len(run)}.unpack_from(stack, {run[0]})")
+    return "; ".join(spill), "; ".join(fill)
 
 
 def _signed_const(value: int) -> int:
@@ -222,16 +255,17 @@ class _Emitter:
     """Collects generated lines for one basic block and tracks which
     runtime preamble facilities (heap view, helper table) are needed."""
 
-    def __init__(self, indent: str, fuel_check: bool = True):
+    def __init__(self, fuel_check: bool = True, spill: str = "",
+                 fill: str = ""):
         self.lines: List[str] = []
-        self.indent = indent
         self.fuel_check = fuel_check
+        self.spill = spill  # moves the register-resident slots ("" if none)
+        self.fill = fill
         self.uses_heap = False
-        self.uses_call = False
         self.heap_sizes: set = set()
 
     def emit(self, line: str) -> None:
-        self.lines.append(self.indent + line)
+        self.lines.append(line)
 
     def flush_fuel(self, count: int) -> None:
         """Charge `count` instructions; on exhaustion the partial batch is
@@ -251,8 +285,9 @@ class _Emitter:
 
 
 def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
-                    offset: int, imm: int,
-                    region: Optional[str] = None) -> None:
+                    offset: int, imm: int, index: Optional[int],
+                    slots: frozenset, region: Optional[str] = None) -> None:
+    # ``index``: stack index of an in-bounds frame-pointer access, else None.
     size = MEM_SIZES[op]
     is_load = op in LOAD_OPS
     base_reg = src if is_load else dst
@@ -265,34 +300,35 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
     else:  # store immediate: fold the mask now
         value = str(imm & ((1 << (8 * size)) - 1))
 
-    def stack_access(addr_expr: str) -> str:
+    def access(buf: str, addr_expr: str) -> str:
         if size == 1:
             if is_load:
-                return f"r{dst} = stack[{addr_expr}]"
-            return f"stack[{addr_expr}] = {value}"
+                return f"r{dst} = {buf}[{addr_expr}]"
+            return f"{buf}[{addr_expr}] = {value}"
         if is_load:
-            return f"r{dst} = _u{size}(stack, {addr_expr})[0]"
-        return f"_p{size}(stack, {addr_expr}, {value})"
+            return f"r{dst} = _u{size}({buf}, {addr_expr})[0]"
+        return f"_p{size}({buf}, {addr_expr}, {value})"
 
-    def heap_access(addr_expr: str) -> str:
-        if size == 1:
-            if is_load:
-                return f"r{dst} = _heap[{addr_expr}]"
-            return f"_heap[{addr_expr}] = {value}"
-        if is_load:
-            return f"r{dst} = _u{size}(_heap, {addr_expr})[0]"
-        return f"_p{size}(_heap, {addr_expr}, {value})"
+    def stack_access(addr_expr: str, indent: str = "") -> None:
+        # A runtime stack address may alias a register-resident slot.
+        for line in (em.spill, access("stack", addr_expr),
+                     "" if is_load else em.fill):
+            if line:
+                em.emit(indent + line)
 
     if base_reg == FP_REGISTER:
         # Frame-pointer-relative: the address is a translation-time
         # constant, so the monitor check is resolved here — accesses that
         # stay in the stack need no runtime check at all.
-        addr = (_STACK_TOP + offset) & _M
-        if STACK_BASE <= addr <= STACK_BASE + STACK_SIZE - size:
-            em.emit(stack_access(str(addr - STACK_BASE)))
-        else:
+        if index is None:
+            addr = (_STACK_TOP + offset) & _M
             em.emit(f'raise _MemoryViolation("access of {size} bytes at '
                     f'0x{addr:x} outside pluglet stack and plugin memory")')
+        elif index in slots:
+            em.emit(f"r{dst} = _s{index}" if is_load
+                    else f"_s{index} = {value}")
+        else:  # no slot overlaps this access: no spill needed
+            em.emit(access("stack", str(index)))
         return
 
     base = _reg_expr(base_reg)
@@ -302,18 +338,18 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
         em.emit(f"_a = {base}")
     if region == "stack":
         # Proven: every execution lands in the pluglet stack.
-        em.emit(stack_access(f"_a - {STACK_BASE}"))
+        stack_access(f"_a - {STACK_BASE}")
         return
     if region == "heap":
         em.uses_heap = True
-        em.emit(heap_access(f"_a - {HEAP_BASE}"))
+        em.emit(access("_heap", f"_a - {HEAP_BASE}"))
         return
     em.uses_heap = True
     em.heap_sizes.add(size)
     em.emit(f"if {STACK_BASE} <= _a <= {STACK_BASE + STACK_SIZE - size}:")
-    em.emit("    " + stack_access(f"_a - {STACK_BASE}"))
+    stack_access(f"_a - {STACK_BASE}", "    ")
     em.emit(f"elif {HEAP_BASE} <= _a <= _he{size}:")
-    em.emit("    " + heap_access(f"_a - {HEAP_BASE}"))
+    em.emit("    " + access("_heap", f"_a - {HEAP_BASE}"))
     em.emit("else:")
     em.emit(f'    raise _MemoryViolation("access of {size} bytes at 0x%x '
             f'outside pluglet stack and plugin memory" % _a)')
@@ -322,11 +358,10 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
 def compile_jit(instructions, proof=None) -> Callable:
     """Translate a program into a Python function with inlined monitoring.
 
-    The returned callable has signature ``fn(vm, stack, out, r1..r5)``;
-    ``out`` is a two-slot list receiving ``[instructions_executed,
-    helper_calls]`` even when the function raises.  Raises :class:`JitError`
-    when the program cannot be translated (caller falls back to the
-    interpreter).
+    The returned callable ``fn(vm, r1=0, ..., r5=0)`` runs one invocation:
+    it sets ``vm.current_stack`` meanwhile and adds to the VM's counters
+    even when it raises.  Raises :class:`JitError` when the program
+    cannot be translated (caller falls back to the interpreter).
 
     ``proof`` is an :class:`repro.vm.analysis.AnalysisReport` (or any
     object with ``mem_facts`` / ``fuel_bound`` / ``helper_bound``): its
@@ -349,7 +384,13 @@ def compile_jit(instructions, proof=None) -> Callable:
     if n > MAX_JIT_PROGRAM:
         raise JitError(f"program too large to JIT ({n} instructions)")
 
-    for ins in instructions:
+    # One pass validates, finds the basic-block leaders (entry, every jump
+    # target, every fall-through successor of a jump or exit) and keeps
+    # the stack-slot bookkeeping.
+    leaders = {0}
+    frame: Dict[int, int] = {}  # pc -> stack index of in-bounds frame accesses
+    slot_ok: Dict[int, bool] = {}
+    for pc, ins in enumerate(instructions):
         op = ins.opcode
         if not isinstance(op, Op):
             raise JitError(f"unknown opcode {op!r}")
@@ -359,19 +400,28 @@ def compile_jit(instructions, proof=None) -> Callable:
             raise JitError("write to read-only r10")
         if op in (Op.DIV_IMM, Op.MOD_IMM) and (ins.imm & _M) == 0:
             raise JitError("division by zero immediate")
-
-    # Basic-block leaders: entry, every jump target, every fall-through
-    # successor of a jump or exit.
-    leaders = {0}
-    for pc, ins in enumerate(instructions):
-        op = ins.opcode
         if op in JUMP_OPS or op is Op.EXIT:
             if pc + 1 < n:
                 leaders.add(pc + 1)
-            if op in JUMP_OPS:
-                target = pc + 1 + ins.offset
-                if 0 <= target < n:
-                    leaders.add(target)
+            if op in JUMP_OPS and 0 <= pc + 1 + ins.offset < n:
+                leaders.add(pc + 1 + ins.offset)
+        elif op in MEM_OPS and FP_REGISTER == (
+                ins.src if op in LOAD_OPS else ins.dst):
+            # Slot bookkeeping: an 8-aligned 8-byte slot stays a candidate
+            # until an access of another width or offset overlaps it.
+            size = MEM_SIZES[op]
+            index = ((_STACK_TOP + ins.offset) & _M) - STACK_BASE
+            if not 0 <= index <= STACK_SIZE - size:
+                continue
+            frame[pc] = index
+            if size == 8 and not index & 7:
+                slot_ok.setdefault(index, True)
+            else:
+                slot_ok[index & -8] = slot_ok[(index + size - 1) & -8] = False
+    slots = frozenset(i for i, ok in slot_ok.items() if ok)
+    namespace = dict(_EXEC_GLOBALS)
+    spill, fill = _slot_moves(sorted(slots), namespace)
+
     order = sorted(leaders)
     block_of = {start: i for i, start in enumerate(order)}
 
@@ -383,7 +433,7 @@ def compile_jit(instructions, proof=None) -> Callable:
 
     for bi, start in enumerate(order):
         end = order[bi + 1] if bi + 1 < len(order) else n
-        em = _Emitter(body_indent, fuel_check=fuel_check)
+        em = _Emitter(fuel_check, spill, fill)
         emitters.append(em)
         pending = 0
         terminated = False
@@ -421,11 +471,15 @@ def compile_jit(instructions, proof=None) -> Callable:
                 em.emit(f"r{ins.dst} = {ins.imm & _M}")
                 pending += 1
                 continue
-            if op in LOAD_OPS or op in STORE_REG_OPS or op in STORE_IMM_OPS:
-                em.flush_fuel(pending + 1)
-                pending = 0
+            if op in MEM_OPS:
+                index = frame.get(pc)
+                if index is not None:
+                    pending += 1  # in-bounds frame access: cannot fault
+                else:
+                    em.flush_fuel(pending + 1)
+                    pending = 0
                 _emit_memory_op(em, op, ins.dst, ins.src, ins.offset,
-                                ins.imm, region=mem_facts.get(pc))
+                                ins.imm, index, slots, mem_facts.get(pc))
                 continue
             if op is Op.CALL:
                 em.flush_fuel(pending + 1)
@@ -441,7 +495,12 @@ def compile_jit(instructions, proof=None) -> Callable:
                             '"helper-call budget exhausted (%d calls)" '
                             '% _hbudget)')
                 em.emit("_hcalls += 1")
+                if spill:
+                    em.emit('_sf = getattr(_h, "stack_free", 0)')
+                    em.emit(f"if not _sf: {spill}")
                 em.emit("_r = _h(vm, r1, r2, r3, r4, r5)")
+                if fill:
+                    em.emit(f"if not _sf: {fill}")
                 em.emit(f"r0 = (_r or 0) & {_M_LIT}")
                 continue
             if op is Op.EXIT:
@@ -497,40 +556,46 @@ def compile_jit(instructions, proof=None) -> Callable:
         heap_sizes |= em.heap_sizes
 
     lines: List[str] = [
-        "def _pluglet(vm, stack, out, r1, r2, r3, r4, r5):",
+        "def _pluglet(vm, r1=0, r2=0, r3=0, r4=0, r5=0):",
+        f"    r1 &= {_M_LIT}; r2 &= {_M_LIT}; r3 &= {_M_LIT}; "
+        f"r4 &= {_M_LIT}; r5 &= {_M_LIT}",
         "    _budget = vm.instruction_budget",
         "    _fuel = _budget",
         "    _hcalls = 0",
     ]
     if uses_call:
-        lines.append("    _hbudget = vm.helper_call_budget")
         lines.append("    _hget = vm.helpers.get")
+        if helper_check:
+            lines.append("    _hbudget = vm.helper_call_budget")
     if uses_heap:
         lines.append("    _heap = vm.memory.data")
         lines.append(f"    _hm = {HEAP_BASE} + vm.memory.size")
         for size in sorted(heap_sizes):
             lines.append(f"    _he{size} = _hm - {size}")
     lines += [
-        "    r0 = 0",
-        "    r6 = 0",
-        "    r7 = 0",
-        "    r8 = 0",
-        "    r9 = 0",
-        "    _bb = 0",
+        "    r0 = r6 = r7 = r8 = r9 = _bb = "
+        + "".join(f"_s{index} = " for index in sorted(slots)) + "0",
+        f"    stack = bytearray({STACK_SIZE})",
+        "    _prev = vm.current_stack",
+        "    vm.current_stack = stack",
         "    try:",
-        "        while 1:",
     ]
-    for bi, em in enumerate(emitters):
-        lines.append(f"            if _bb <= {bi}:")
-        lines.extend(em.lines)
+    if len(emitters) == 1:  # straight-line code needs no dispatch loop
+        lines.append("        " + "\n        ".join(emitters[0].lines))
+    else:
+        lines.append("        while 1:")
+        for bi, em in enumerate(emitters):
+            lines.append(f"            if _bb <= {bi}:")
+            lines.append(body_indent + ("\n" + body_indent).join(em.lines))
     lines += [
         "    finally:",
-        "        out[0] = _budget - _fuel",
-        "        out[1] = _hcalls",
+        "        vm.current_stack = _prev",
+        "        vm.instructions_executed += _budget - _fuel",
+        "        vm._helper_calls = _hcalls",
+        "        vm.helper_calls_made += _hcalls",
     ]
     source = "\n".join(lines) + "\n"
 
-    namespace = dict(_EXEC_GLOBALS)
     try:
         code = compile(source, "<pre-jit>", "exec")
     except SyntaxError as exc:  # pragma: no cover - translation bug guard
@@ -613,27 +678,13 @@ class JitVirtualMachine(VirtualMachine):
         fn = self._closures.get(specialized, _UNCOMPILED)
         if fn is _UNCOMPILED:
             fn = self.closure(specialized)
-        self.execution_path = "interpreter" if fn is None else "jit"
         if fn is None:
+            self.execution_path = "interpreter"
             return super().run(*args)
+        self.execution_path = "jit"
         if len(args) > 5:
             raise ValueError("at most 5 arguments (r1-r5)")
-        a1 = a2 = a3 = a4 = a5 = 0
-        if args:
-            padded = [value & _M for value in args] + [0] * (5 - len(args))
-            a1, a2, a3, a4, a5 = padded
-        stack = bytearray(STACK_SIZE)
-        out = [0, 0]
-        previous_stack = self.current_stack
-        self.current_stack = stack
-        self._helper_calls = 0
-        try:
-            return fn(self, stack, out, a1, a2, a3, a4, a5)
-        finally:
-            self.instructions_executed += out[0]
-            self._helper_calls = out[1]
-            self.helper_calls_made += out[1]
-            self.current_stack = previous_stack
+        return fn(self, *args)
 
 
 def create_vm(

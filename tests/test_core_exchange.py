@@ -343,6 +343,56 @@ class TestExchange:
         assert exchanger.received == []
         assert not cache.has(plugin.name)
 
+    def test_received_duplicate_pluglet_names_rejected(self):
+        """A received plugin naming two pluglets alike is undecodable: it
+        is rejected, nothing attaches, and the connection carries on."""
+        import zlib
+
+        plugin, repo, validators, trust = build_world(1)
+        forged = zlib.compress(Plugin(plugin.name, [
+            Pluglet("dupA", "packet_sent_event", "post", assemble("exit")),
+            Pluglet("dupB", "packet_lost_event", "post", assemble("exit")),
+        ]).serialize().replace(b"dupB", b"dupA"))
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=10, bw_mbps=20)
+        provider_honest = make_proof_provider(repo, validators)
+
+        def forging_provider(name, formula):
+            result = provider_honest(name, formula)
+            return None if result is None else (forged, result[1])
+
+        server_cache = PluginCache()
+        server_cache.store(plugin)
+        server = ServerEndpoint(
+            sim, topo.server, "server.0", 443,
+            configuration_factory=lambda: QuicConfiguration(
+                is_client=False, plugins_to_inject=[plugin.name]),
+        )
+        received = []
+        server.on_connection = lambda conn: (
+            PluginExchanger(conn, server_cache, proof_provider=forging_provider),
+            setattr(conn, "on_stream_data",
+                    lambda sid, data, fin: received.append(data)))
+        client = ClientEndpoint(sim, topo.client, "client.0", 5000,
+                                "server.0", 443)
+        cache = PluginCache()
+        exchanger = PluginExchanger(client.conn, cache, trust=trust,
+                                    formula="PV1")
+        client.connect()
+        assert sim.run_until(lambda: client.conn.is_established, timeout=5)
+        sim.run(until=sim.now + 2.0)
+        reason = exchanger.degraded.get(plugin.name, "")
+        assert reason.startswith("undecodable plugin")
+        assert "duplicate pluglet name 'dupA'" in reason
+        assert exchanger.received == [] and not cache.has(plugin.name)
+        assert client.conn.plugins == {}
+        assert client.conn.close_error is None
+        sid = client.conn.create_stream()
+        client.conn.send_stream_data(sid, b"still alive", fin=True)
+        client.pump()
+        assert sim.run_until(lambda: b"".join(received) == b"still alive",
+                             timeout=5)
+
     def test_equivocating_str_not_accepted(self):
         """A proof against a shadow STR differs from the cached one."""
         plugin = make_plugin()

@@ -278,3 +278,97 @@ class TestCache:
             Pluglet("b", "op", "post", [Instruction(Op.MOV_IMM, dst=0)])])
         with pytest.raises(VerificationError):
             cache.store(bad)
+
+
+def _legacy_failures():
+    """One program per §2.1 check the acceptance gate applies."""
+    from repro.vm.isa import Instruction, Op
+
+    exit_ = Instruction(Op.EXIT)
+    return {
+        "empty": [],
+        "no_exit": [Instruction(Op.MOV_IMM, dst=0)],
+        "bad_dst": [Instruction(Op.MOV_IMM, dst=12), exit_],
+        "div_zero_imm": [Instruction(Op.DIV_IMM, dst=0, imm=0), exit_],
+        "shift_range": [Instruction(Op.LSH_IMM, dst=0, imm=64), exit_],
+        "jump_range": [Instruction(Op.JA, offset=7), exit_],
+        "write_r10": [Instruction(Op.MOV_IMM, dst=10, imm=1), exit_],
+        "helper_id": [Instruction(Op.CALL, imm=-3), exit_],
+        "stack_oob": [Instruction(Op.STDW, dst=10, offset=-520), exit_],
+        "two_faults": [Instruction(Op.JA, offset=9),
+                       Instruction(Op.STDW, dst=10, offset=8)],
+    }
+
+
+class TestPluginIntegrity:
+    def test_duplicate_pluglet_names_rejected(self):
+        first = Pluglet("same", "packet_sent_event", "post",
+                        assemble("mov r0, 1\nexit"))
+        second = Pluglet("same", "packet_lost_event", "post",
+                         assemble("mov r0, 2\nexit"))
+        with pytest.raises(ValueError, match="duplicate pluglet name 'same'"):
+            Plugin("org.x.dup", [first, second])
+
+    def test_deserialize_rejects_duplicate_pluglet_names(self):
+        data = Plugin("org.x.dup", [
+            noop_pluglet("dupA"), noop_pluglet("dupB", "packet_lost_event"),
+        ]).serialize()
+        forged = data.replace(b"dupB", b"dupA")
+        with pytest.raises(ValueError, match="duplicate pluglet name 'dupA'"):
+            Plugin.deserialize(forged)
+
+    @pytest.mark.parametrize("case", sorted(_legacy_failures()))
+    def test_verdict_from_reports_matches_legacy_checks(self, case):
+        def verdict(analyzed):
+            plugin = Plugin("org.x.v", [noop_pluglet("ok"),
+                                        Pluglet("p", "op", "post",
+                                                _legacy_failures()[case])])
+            if analyzed:
+                plugin.analyze_all()
+            with pytest.raises(VerificationError) as exc:
+                plugin.verify_all()
+            return type(exc.value), str(exc.value)
+
+        legacy = verdict(analyzed=False)
+        assert verdict(analyzed=True) == legacy
+        assert legacy[1].startswith("plugin org.x.v: pluglet p: ")
+
+    @staticmethod
+    def _count_legacy_checks(monkeypatch):
+        import repro.core.plugin as plugin_module
+
+        calls = []
+        original = plugin_module.verify
+
+        def counting(program):
+            calls.append(program)
+            return original(program)
+
+        monkeypatch.setattr(plugin_module, "verify", counting)
+        return calls
+
+    def test_analyzed_plugin_never_reruns_legacy_checks(self, monkeypatch):
+        calls = self._count_legacy_checks(monkeypatch)
+        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
+        plugin = Plugin("org.x.once", [noop_pluglet("a"), noop_pluglet("b")])
+        for _ in range(3):
+            PluginInstance(plugin, make_conn())
+        cache = PluginCache()
+        cache.store(plugin)
+        for _ in range(3):
+            cache.instantiate("org.x.once", make_conn())
+        assert calls == []
+
+    @pytest.mark.parametrize("analysis", ["1", "0"])
+    def test_unanalyzed_plugin_checked_once(self, monkeypatch, analysis):
+        calls = self._count_legacy_checks(monkeypatch)
+        monkeypatch.setenv("REPRO_ANALYSIS", analysis)
+        plugin = Plugin("org.x.once", [noop_pluglet("a"), noop_pluglet("b")])
+        cache = PluginCache()
+        cache.store(plugin)  # before any analysis: the legacy checks
+        for _ in range(3):
+            cache.instantiate("org.x.once", make_conn())
+            PluginInstance(plugin, make_conn())
+        assert len(calls) == 2  # once per pluglet, for the whole plugin
+        cache.store(Plugin.deserialize(plugin.serialize()))
+        assert len(calls) == 4  # a re-received copy is a new Plugin

@@ -463,3 +463,47 @@ class TestPeerViolations:
         with pytest.raises(TransportError) as exc:
             self._reset(conn, 11)
         assert exc.value.code == TransportErrorCode.FINAL_SIZE_ERROR
+
+    def test_reset_charges_exactly_the_final_size(self):
+        conn = self._conn()
+        self._stream(conn, 0, b"abcd", fin=False)
+        self._stream(conn, 10, b"xy", fin=False)  # a gap at 4..10
+        assert conn.data_received == 12
+        self._reset(conn, 40)
+        assert conn.data_received == 40  # the stream's whole charge
+        # Retransmitted STREAM data below the final size charges nothing.
+        self._stream(conn, 4, b"efghij", fin=False)
+        self._stream(conn, 12, b"z" * 28, fin=True)
+        self._reset(conn, 40)
+        assert conn.data_received == 40
+
+    def test_reset_final_size_beyond_max_stream_data_is_error(self):
+        from repro.errors import TransportError, TransportErrorCode
+
+        conn = self._conn()
+        self._stream(conn, 0, b"abc", fin=False)
+        limit = conn.streams_recv[1].max_stream_data
+        with pytest.raises(TransportError) as exc:
+            self._reset(conn, limit + 1)
+        assert exc.value.code == TransportErrorCode.FLOW_CONTROL_ERROR
+        assert conn.streams_recv[1].final_size is None
+        assert conn.data_received == 3
+        self._reset(conn, limit)  # exactly the limit is allowed
+
+    def test_reset_past_connection_limit_is_error(self):
+        from repro.errors import TransportError, TransportErrorCode
+
+        def conn_at_limit():
+            conn = self._conn()
+            conn.ops.get_receive_stream(conn, 1).max_stream_data = 1000
+            self._stream(conn, 0, b"a" * 60, fin=False)
+            conn.max_data_local = 100  # no credit granted beyond this
+            return conn
+
+        conn = conn_at_limit()
+        self._reset(conn, 100)  # exactly the connection limit is allowed
+        assert conn.data_received == 100
+        conn = conn_at_limit()
+        with pytest.raises(TransportError) as exc:
+            self._reset(conn, 101)
+        assert exc.value.code == TransportErrorCode.FLOW_CONTROL_ERROR

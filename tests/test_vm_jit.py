@@ -37,6 +37,7 @@ from repro.vm.jit import (
     JitVirtualMachine,
     compile_jit,
     create_vm,
+    stack_free,
 )
 
 HEAP_SIZE = 4096
@@ -145,6 +146,7 @@ def random_program(rng, n_body=30):
 # --- differential harness ----------------------------------------------------
 
 def _make_helpers(log):
+    @stack_free
     def h_sum(vm, a1, a2, a3, a4, a5):
         log.append(("sum", a1, a2, a3, a4, a5))
         return a1 + a2
@@ -153,15 +155,28 @@ def _make_helpers(log):
         log.append(("void", a1))
         return None
 
-    return {1: h_sum, 7: h_void}
+    return {1: h_sum, 7: h_void, 9: _stack_poker(log)}
 
 
-def _observe(vm_cls, program, budget, runs, analysis=None, expect_jit=True):
+def _stack_poker(log):
+    """An undeclared helper that reads the 8 bytes at ``a1`` (a stack
+    pointer, typically) and writes them back plus ``a2``."""
+    def h_poke(vm, a1, a2, a3, a4, a5):
+        value = vm.load(a1, 8, vm.current_stack)
+        vm.store(a1, 8, value + a2, vm.current_stack)
+        log.append(("poke", a1, value))
+        return value
+
+    return h_poke
+
+
+def _observe(vm_cls, program, budget, runs, analysis=None, expect_jit=True,
+             make_helpers=_make_helpers):
     """Run ``program`` and capture everything observable from outside."""
     mem = PluginMemory(size=HEAP_SIZE)
     log = []
     kwargs = {"analysis": analysis} if analysis is not None else {}
-    vm = vm_cls(program, mem, helpers=_make_helpers(log),
+    vm = vm_cls(program, mem, helpers=make_helpers(log),
                 instruction_budget=budget, helper_call_budget=8, **kwargs)
     if vm_cls is JitVirtualMachine and expect_jit:
         assert vm.jit_enabled, "generated program unexpectedly fell back"
@@ -177,11 +192,14 @@ def _observe(vm_cls, program, budget, runs, analysis=None, expect_jit=True):
 
 
 def assert_equivalent(program, budgets=(5, 17, 64, 300),
-                      runs=((), (3, (1 << 63) + 5, 7))):
+                      runs=((), (3, (1 << 63) + 5, 7)),
+                      make_helpers=_make_helpers):
     verify(program)
     for budget in budgets:
-        ref = _observe(VirtualMachine, program, budget, runs)
-        jit = _observe(JitVirtualMachine, program, budget, runs)
+        ref = _observe(VirtualMachine, program, budget, runs,
+                       make_helpers=make_helpers)
+        jit = _observe(JitVirtualMachine, program, budget, runs,
+                       make_helpers=make_helpers)
         assert jit == ref, (
             f"divergence at budget={budget}:\n ref={ref}\n jit={jit}\n"
             f"program={program}"
@@ -303,6 +321,170 @@ class TestFixedPrograms:
         assert_equivalent(prog, runs=((), (), ()))
 
 
+# --- register-resident stack slots -------------------------------------------
+
+SLOT_OFFSETS = (-8, -16, -24, -32, -40)
+
+
+def _escaping_ins(rng, pc, total):
+    """Mostly aligned 8-byte frame accesses (register-resident slots),
+    frame pointers escaping into r1/r6, stack-touching helper calls and
+    register-addressed accesses through the escaped pointers."""
+    r = rng.random()
+    reg = rng.choice([1, 6])
+    if r < 0.35:
+        off = rng.choice(SLOT_OFFSETS)
+        op = rng.choice([Op.LDXDW, Op.STXDW, Op.STDW])
+        if op is Op.LDXDW:
+            return Instruction(op, dst=rng.randrange(10), src=10, offset=off)
+        if op is Op.STXDW:
+            return Instruction(op, dst=10, src=rng.randrange(11), offset=off)
+        return Instruction(op, dst=10, offset=off, imm=_random_imm(rng))
+    if r < 0.43:
+        return Instruction(Op.MOV, dst=reg, src=10)
+    if r < 0.51:
+        return Instruction(Op.ADD_IMM, dst=reg,
+                           imm=rng.choice(SLOT_OFFSETS + (-4, 8)))
+    if r < 0.59:
+        return Instruction(Op.CALL, imm=rng.choice([9, 9, 1]))
+    if r < 0.71:
+        op = rng.choice(MEM_LIST)
+        offset = rng.choice([0, 0, 4, -8])
+        if op in LOAD_OPS:
+            return Instruction(op, dst=rng.randrange(10), src=reg,
+                               offset=offset)
+        if op in STORE_REG_OPS:
+            return Instruction(op, dst=reg, src=rng.randrange(11),
+                               offset=offset)
+        return Instruction(op, dst=reg, offset=offset, imm=_random_imm(rng))
+    if r < 0.74:  # mixed width: knocks a slot back into memory
+        op = rng.choice([Op.LDXW, Op.STW, Op.STXB])
+        off = rng.choice(SLOT_OFFSETS) + rng.choice([0, 4])
+        if op is Op.LDXW:
+            return Instruction(op, dst=rng.randrange(10), src=10, offset=off)
+        if op is Op.STW:
+            return Instruction(op, dst=10, offset=off, imm=_random_imm(rng))
+        return Instruction(op, dst=10, src=rng.randrange(11), offset=off)
+    return _random_ins(rng, pc, total)
+
+
+def escaping_program(rng, n_body=30):
+    prog = [Instruction(Op.MOV, dst=1, src=10),
+            Instruction(Op.ADD_IMM, dst=1, imm=rng.choice(SLOT_OFFSETS)),
+            Instruction(Op.LDDW, dst=6, imm=STACK_BASE + STACK_SIZE
+                        + rng.choice(SLOT_OFFSETS)),
+            Instruction(Op.LDDW, dst=7,
+                        imm=HEAP_BASE + rng.randrange(0, HEAP_SIZE, 8))]
+    total = len(prog) + n_body + 1
+    for _ in range(n_body):
+        prog.append(_escaping_ins(rng, len(prog), total))
+    prog.append(Instruction(Op.EXIT))
+    return prog
+
+
+def _slots_in(program):
+    source = compile_jit(program).source
+    return {word for word in source.replace(",", " ").split()
+            if word.startswith("_s") and word[2:].isdigit()}
+
+
+class TestRegisterResidentSlots:
+    """Frame slots kept in Python locals must stay invisible: every
+    helper, forged address and fault sees exactly the interpreter's
+    stack, fuel and heap."""
+
+    def test_escaped_frame_pointer_to_undeclared_helper(self):
+        prog = assemble(
+            "stdw [r10-8], 41\nstdw [r10-16], 7\n"
+            "mov r1, r10\nadd r1, -8\nmov r2, 100\n"
+            "call 9\n"  # reads 41 from the slot, writes 141 back
+            "ldxdw r0, [r10-8]\nldxdw r3, [r10-16]\nadd r0, r3\nexit")
+        assert _slots_in(prog) == {"_s504", "_s496"}
+        assert_equivalent(prog, budgets=(3, 6, 7, 64))
+        assert_proof_equivalent(prog, budgets=(3, 6, 7, 64))
+        vm = JitVirtualMachine(prog, PluginMemory(size=64),
+                               helpers={9: _stack_poker([])})
+        assert vm.run() == 148
+
+    def test_forged_constant_address_reads_and_writes_slot(self):
+        prog = assemble(
+            "stdw [r10-8], 5\n"
+            f"lddw r2, {STACK_BASE + STACK_SIZE - 8}\n"
+            "ldxdw r3, [r2+0]\nadd r3, 10\nstxdw [r2+0], r3\n"
+            "ldxdw r0, [r10-8]\nexit")
+        assert _slots_in(prog) == {"_s504"}
+        assert_equivalent(prog, budgets=(2, 3, 5, 64))
+        assert_proof_equivalent(prog, budgets=(2, 3, 5, 64))
+        assert JitVirtualMachine(prog, PluginMemory(size=64)).run() == 15
+
+    def test_mixed_width_overlap_keeps_slot_in_memory(self):
+        prog = assemble(
+            "stdw [r10-8], -1\nstw [r10-4], 0\n"  # overlaps slot -8
+            "stdw [r10-16], 3\n"                    # a clean slot
+            "stxdw [r10-28], r10\n"                 # unaligned: -32, -24
+            "stdw [r10-24], 4\nldxdw r0, [r10-8]\nldxdw r1, [r10-16]\n"
+            "add r0, r1\nldxdw r1, [r10-24]\nadd r0, r1\nexit")
+        assert _slots_in(prog) == {"_s496"}
+        assert_equivalent(prog)
+        assert JitVirtualMachine(prog, PluginMemory(size=64)).run() == \
+            0xFFFFFFFF + 3 + 4
+
+    def test_fuel_exhaustion_between_batched_stack_stores(self):
+        prog = assemble(
+            f"lddw r6, {HEAP_BASE}\nstdw [r10-8], 1\nstdw [r10-16], 2\n"
+            "stxdw [r10-24], r6\nldxdw r1, [r10-8]\nstdw [r10-32], 4\n"
+            "ldxdw r2, [r10-16]\nadd r1, r2\nstxdw [r6+0], r1\n"
+            "stdw [r10-8], 9\nstxdw [r6+8], r1\nmov r1, r10\n"
+            "add r1, -8\ncall 9\nldxdw r0, [r10-8]\n"
+            "ldxdw r3, [r10-24]\nstxdw [r3+16], r0\nexit")
+        budgets = range(len(prog) + 2)
+        assert_equivalent(prog, budgets=budgets, runs=((), (0, 7)))
+        assert_proof_equivalent(prog, budgets=budgets, runs=((), (0, 7)))
+
+    def test_declaration_follows_the_function_not_the_id(self):
+        """Id 5 is ``get_opaque_data``, declared stack-free in the core
+        table; a custom table binds a stack-reading function there."""
+        from repro.core.api import H_GET_OPAQUE_DATA, PluginApi
+
+        assert PluginApi._h_opaque.stack_free
+        prog = assemble(
+            "stdw [r10-8], 40\nmov r1, r10\nadd r1, -8\nmov r2, 2\n"
+            f"call {H_GET_OPAQUE_DATA}\nldxdw r0, [r10-8]\nexit")
+
+        def reader(log):
+            return {H_GET_OPAQUE_DATA: _stack_poker(log)}
+
+        def declared(log):
+            @stack_free
+            def h_opaque(vm, a1, a2, a3, a4, a5):
+                log.append(("opaque", a1, a2))
+                return 0
+            return {H_GET_OPAQUE_DATA: h_opaque}
+
+        for make in (reader, declared):
+            assert_equivalent(prog, make_helpers=make)
+        # One VM, its table rebound between runs: each run is sound for
+        # the function it actually calls.
+        vm = JitVirtualMachine(prog, PluginMemory(size=64),
+                               helpers=declared([]))
+        assert vm.run() == 40
+        vm.helpers = reader([])
+        assert vm.run() == 42
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_stack_escaping_programs(self, seed):
+        rng = random.Random(0x5EED ^ seed)
+        for _ in range(3):
+            program = escaping_program(rng)
+            assert_equivalent(program)
+            assert_proof_equivalent(program)
+
+    def test_escaping_generator_registerizes_slots(self):
+        rng = random.Random(0x5EED)
+        programs = [escaping_program(rng) for _ in range(30)]
+        assert sum(1 for p in programs if _slots_in(p)) >= 20
+
+
 class TestJitMachinery:
     def test_compile_rejects_empty_program(self):
         with pytest.raises(JitError):
@@ -355,7 +537,8 @@ CORPUS_GOOD = Path(__file__).parent / "corpus" / "good"
 
 
 def assert_proof_equivalent(program, budgets=(5, 17, 64, 300),
-                            runs=((), (3, (1 << 63) + 5, 7))):
+                            runs=((), (3, (1 << 63) + 5, 7)),
+                            make_helpers=_make_helpers):
     """Like :func:`assert_equivalent`, but the JIT VM additionally gets
     the analyzer's report: the monitor-free specialized closure must be
     indistinguishable from the interpreter — proofs change speed, never
@@ -363,9 +546,10 @@ def assert_proof_equivalent(program, budgets=(5, 17, 64, 300),
     verify(program)
     report = analyze(program, heap_size=HEAP_SIZE)
     for budget in budgets:
-        ref = _observe(VirtualMachine, program, budget, runs)
+        ref = _observe(VirtualMachine, program, budget, runs,
+                       make_helpers=make_helpers)
         jit = _observe(JitVirtualMachine, program, budget, runs,
-                       analysis=report)
+                       analysis=report, make_helpers=make_helpers)
         assert jit == ref, (
             f"proof-guided divergence at budget={budget}:\n ref={ref}\n"
             f" jit={jit}\n report={report.summary()}\n program={program}"

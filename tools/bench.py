@@ -77,12 +77,31 @@ MIN_GOODPUT_SPEEDUP = 2.0
 #: (identical seeded topology), so the ratio cannot flake with machine
 #: load.
 MIN_LOSSY_RECOVERY_SPEEDUP = 1.0
+#: The in-process A/B gates above (monitor-free, fuel certificate,
+#: tracing-disabled overhead) compare the median of this many per-round
+#: ratios, each round timing both arms back to back: a ratio of two
+#: best-of-N minima failed on unchanged code under shared-host load.
+GATE_ROUNDS = 7
 
 
 def _time(fn, *args):
     t0 = time.perf_counter()
     result = fn(*args)
     return time.perf_counter() - t0, result
+
+
+def _interleaved(fn, arms: dict, rounds: int = GATE_ROUNDS) -> dict:
+    """Time ``fn(arm)`` for every arm once per round; returns each arm's
+    list of per-round times, so ratios compare neighbours in time."""
+    times: dict = {name: [] for name in arms}
+    for _ in range(rounds):
+        for name, arm in arms.items():
+            times[name].append(_time(fn, arm)[0])
+    return times
+
+
+def _median_ratio(numerator: list, denominator: list) -> float:
+    return statistics.median(a / b for a, b in zip(numerator, denominator))
 
 
 # --- workloads ---------------------------------------------------------------
@@ -169,11 +188,7 @@ def bench_analysis(quick: bool) -> dict:
         for _ in range(runs):
             vm.run()
 
-    best = {"monitored": float("inf"), "free": float("inf")}
-    for _ in range(5):  # interleaved best-of-N
-        for name, vm in (("monitored", monitored), ("free", free)):
-            dt, _ = _time(spin, vm)
-            best[name] = min(best[name], dt)
+    times = _interleaved(spin, {"monitored": monitored, "free": free})
 
     # --- fuel_certificate variant: a loop only a certificate can elide --
     loop_program = _certificate_kernel()
@@ -190,28 +205,25 @@ def bench_analysis(quick: bool) -> dict:
     assert cert_monitored.run() == certified.run()
     assert (cert_monitored.instructions_executed
             == certified.instructions_executed)
-    cert_best = {"monitored": float("inf"), "certified": float("inf")}
-    for _ in range(5):  # interleaved best-of-N
-        for name, vm in (("monitored", cert_monitored),
-                         ("certified", certified)):
-            dt, _ = _time(spin, vm)
-            cert_best[name] = min(cert_best[name], dt)
+    cert_times = _interleaved(spin, {"monitored": cert_monitored,
+                                     "certified": certified})
 
     return {
         "analysis_instrs_per_sec":
             (len(program) * rounds / t, "instr/s"),
         "jit_monitored_kernel_ops_per_sec":
-            (runs / best["monitored"], "ops/s"),
+            (runs / min(times["monitored"]), "ops/s"),
         "jit_monitor_free_kernel_ops_per_sec":
-            (runs / best["free"], "ops/s"),
+            (runs / min(times["free"]), "ops/s"),
         "jit_monitor_free_speedup":
-            (best["monitored"] / best["free"], "x"),
+            (_median_ratio(times["monitored"], times["free"]), "x"),
         "jit_fuel_cert_monitored_ops_per_sec":
-            (runs / cert_best["monitored"], "ops/s"),
+            (runs / min(cert_times["monitored"]), "ops/s"),
         "jit_fuel_cert_elided_ops_per_sec":
-            (runs / cert_best["certified"], "ops/s"),
+            (runs / min(cert_times["certified"]), "ops/s"),
         "jit_fuel_certificate_speedup":
-            (cert_best["monitored"] / cert_best["certified"], "x"),
+            (_median_ratio(cert_times["monitored"],
+                           cert_times["certified"]), "x"),
     }
 
 
@@ -263,7 +275,7 @@ def bench_trace_overhead(quick: bool) -> dict:
       actually observing).
 
     ``--check`` gates ``detached`` within ``TRACE_OVERHEAD_LIMIT_PCT`` of
-    ``off``.
+    ``off``, on the median of per-round ``off / detached`` time ratios.
     """
     import types
 
@@ -277,7 +289,6 @@ def bench_trace_overhead(quick: bool) -> dict:
     )
 
     rounds = 4_000 if quick else 40_000
-    repeats = 5
     # The tracer / metrics decoders read real packet fields, so every
     # variant dispatches the same fake sent-packet record.
     sent = types.SimpleNamespace(packet_number=0, size=1200, path_id=0,
@@ -299,7 +310,8 @@ def bench_trace_overhead(quick: bool) -> dict:
     conn_on = make_conn()
     PreProfiler().attach(conn_on)
     ConnectionMetrics(conn_on, MetricsRegistry())
-    on_tracer = ConnectionTracer(conn_on, max_events=rounds * (repeats + 2))
+    on_tracer = ConnectionTracer(conn_on,
+                                 max_events=rounds * (GATE_ROUNDS + 2))
 
     def dispatch(conn):
         slot = conn.ops.packet_sent_event
@@ -310,7 +322,7 @@ def bench_trace_overhead(quick: bool) -> dict:
                 ("on", conn_on)]
     for _, conn in variants:  # warm up identically
         dispatch(conn)
-    best = {name: float("inf") for name, _ in variants}
+    times: dict = {name: [] for name, _ in variants}
     # The live tracer retains every event; left unbounded, generational
     # GC passes over that growing heap would land randomly inside the
     # gated off/detached samples.  Bound the heap and keep the collector
@@ -319,24 +331,26 @@ def bench_trace_overhead(quick: bool) -> dict:
 
     gc_was_enabled = gc.isenabled()
     try:
-        for _ in range(repeats):  # interleaved best-of-N
+        for _ in range(GATE_ROUNDS):  # interleaved rounds
             for name, conn in variants:
                 on_tracer.events.clear()
                 gc.collect()
                 gc.disable()
                 t, _ = _time(dispatch, conn)
                 gc.enable()
-                best[name] = min(best[name], t)
+                times[name].append(t)
     finally:
         if gc_was_enabled:
             gc.enable()
         else:
             gc.disable()
     return {
-        "trace_off_dispatch_ops_per_sec": (rounds / best["off"], "ops/s"),
+        "trace_off_dispatch_ops_per_sec": (rounds / min(times["off"]), "ops/s"),
         "trace_detached_dispatch_ops_per_sec":
-            (rounds / best["detached"], "ops/s"),
-        "trace_on_dispatch_ops_per_sec": (rounds / best["on"], "ops/s"),
+            (rounds / min(times["detached"]), "ops/s"),
+        "trace_on_dispatch_ops_per_sec": (rounds / min(times["on"]), "ops/s"),
+        "trace_detached_dispatch_ratio":
+            (_median_ratio(times["off"], times["detached"]), "x"),
     }
 
 
@@ -902,7 +916,7 @@ def main(argv=None) -> int:
 
     off = metrics["trace_off_dispatch_ops_per_sec"]["value"]
     detached = metrics["trace_detached_dispatch_ops_per_sec"]["value"]
-    overhead_pct = (off - detached) / off * 100.0 if off else 0.0
+    overhead_pct = (1.0 - metrics["trace_detached_dispatch_ratio"]["value"]) * 100.0
     print(f"[bench] tracing-disabled dispatch overhead: {overhead_pct:+.2f}%"
           f" (limit {TRACE_OVERHEAD_LIMIT_PCT:.0f}%)")
     if overhead_pct > TRACE_OVERHEAD_LIMIT_PCT:
